@@ -251,15 +251,9 @@ class LevelComplexes:
     def dim(self, lv, n):
         return self.dims[lv].get(n, 0)
 
-    def _block_maps(self, lv):
-        gd = self.cx.gd
-        res = lambda a, b: self.coeff.res_map(a, b)   # noqa: E731
-        tr = lambda a, b: self.coeff.tr_map(a, b)     # noqa: E731
-        return gd, res, tr
-
     def differential(self, lv, n):
         """Matrix of d: C_n(lv) -> C_{n-1}(lv)."""
-        gd, res, tr = self._block_maps(lv)
+        gd = self.cx.gd
         src_layout = self.layout[lv].get(n, [])
         tgt_layout = self.layout[lv].get(n - 1, [])
         rows = self.dim(lv, n - 1)
@@ -273,7 +267,7 @@ class LevelComplexes:
             s_meet = gd.meet(lv, s_stab)
             t_meet = gd.meet(lv, t_stab)
             if kind == "up":
-                block = tr(s_meet, t_meet)
+                block = self.coeff.tr_map(s_meet, t_meet)
                 t_join = gd.join(lv, t_stab)
                 for ci, crep in enumerate(s_reps):
                     target_rep = gd.coset_rep(crep ^ trans, t_join)
@@ -281,7 +275,7 @@ class LevelComplexes:
                     _xor_block(data, block,
                                t_off + ti * t_bdim, s_off + ci * s_bdim)
             else:
-                block = res(s_meet, t_meet)
+                block = self.coeff.res_map(s_meet, t_meet)
                 s_join = gd.join(lv, s_stab)
                 for ti, trep in enumerate(t_reps):
                     source_rep = gd.coset_rep(trep ^ trans, s_join)
@@ -292,37 +286,44 @@ class LevelComplexes:
 
     def chain_res(self, upper, lower, n):
         """Restriction chain map C_n(upper) -> C_n(lower)."""
-        gd, res, _ = self._block_maps(upper)
-        up_layout = self.layout[upper].get(n, [])
-        lo_layout = self.layout[lower].get(n, [])
-        data = [0] * self.dim(lower, n)
-        for cell_idx, cell in enumerate(self.cx.cells.get(n, ())):
-            u_off, u_reps, _ = up_layout[cell_idx]
-            l_off, l_reps, l_bdim = lo_layout[cell_idx]
-            u_join = gd.join(upper, cell.stab)
-            block = res(gd.meet(upper, cell.stab), gd.meet(lower, cell.stab))
-            u_bdim = block.cols
-            for li, lrep in enumerate(l_reps):
-                ui = u_reps.index(gd.coset_rep(lrep, u_join))
-                _xor_block(data, block, l_off + li * l_bdim, u_off + ui * u_bdim)
-        return BitMatrix(self.dim(lower, n), self.dim(upper, n), tuple(data))
+        return self._chain_map(upper, lower, n, transfer=False)
 
     def chain_tr(self, lower, upper, n):
         """Transfer chain map C_n(lower) -> C_n(upper)."""
-        gd, _, tr = self._block_maps(upper)
+        return self._chain_map(upper, lower, n, transfer=True)
+
+    def _chain_map(self, upper, lower, n, transfer):
+        """Restriction C_n(upper) -> C_n(lower), or the transfer back.
+
+        Both put one coefficient block per lower-level coset of each cell's
+        orbit, at the upper-level coset containing it; the transfer's blocks
+        sit at the transposed positions.
+        """
+        gd = self.cx.gd
         up_layout = self.layout[upper].get(n, [])
         lo_layout = self.layout[lower].get(n, [])
-        data = [0] * self.dim(upper, n)
+        rows, cols = self.dim(lower, n), self.dim(upper, n)
+        if transfer:
+            rows, cols = cols, rows
+        data = [0] * rows
         for cell_idx, cell in enumerate(self.cx.cells.get(n, ())):
             u_off, u_reps, u_bdim = up_layout[cell_idx]
-            l_off, l_reps, _ = lo_layout[cell_idx]
+            l_off, l_reps, l_bdim = lo_layout[cell_idx]
             u_join = gd.join(upper, cell.stab)
-            block = tr(gd.meet(lower, cell.stab), gd.meet(upper, cell.stab))
-            l_bdim = block.cols
+            u_meet = gd.meet(upper, cell.stab)
+            l_meet = gd.meet(lower, cell.stab)
+            if transfer:
+                block = self.coeff.tr_map(l_meet, u_meet)
+            else:
+                block = self.coeff.res_map(u_meet, l_meet)
             for li, lrep in enumerate(l_reps):
                 ui = u_reps.index(gd.coset_rep(lrep, u_join))
-                _xor_block(data, block, u_off + ui * u_bdim, l_off + li * l_bdim)
-        return BitMatrix(self.dim(upper, n), self.dim(lower, n), tuple(data))
+                l_pos, u_pos = l_off + li * l_bdim, u_off + ui * u_bdim
+                if transfer:
+                    _xor_block(data, block, u_pos, l_pos)
+                else:
+                    _xor_block(data, block, l_pos, u_pos)
+        return BitMatrix(rows, cols, tuple(data))
 
 
 def _xor_block(data, block, row_off, col_off):

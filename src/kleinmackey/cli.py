@@ -219,9 +219,7 @@ def cmd_mackey(args, out):
 
 def cmd_verify(args, out):
     kwargs = {}
-    if args.suite == "hk-oracle" and args.box is not None:
-        kwargs["box"] = args.box
-    if args.suite == "duality" and args.box is not None:
+    if args.suite in ("hk-oracle", "duality") and args.box is not None:
         kwargs["box"] = args.box
     if args.suite == "axioms" and args.file:
         with open(args.file) as fh:
@@ -303,7 +301,7 @@ def main(argv=None, out=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args, out)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

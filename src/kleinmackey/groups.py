@@ -10,7 +10,6 @@ die on R, L, D respectively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -91,14 +90,6 @@ def group_by_name(name):
     if name == "C2":
         return C2
     raise ValueError(f"unknown group {name!r}")
-
-
-@lru_cache(maxsize=None)
-def char_value(group_name, char, g):
-    """The character evaluated at g, as 0/1."""
-    grp = group_by_name(group_name)
-    ker = grp.subgroups[grp.char_kernels[char]]
-    return 0 if g in ker else 1
 
 
 def char_twist(group, char):

@@ -68,18 +68,8 @@ class LaurentPoly:
     def shift(self, k):
         return LaurentPoly(tuple((e + k, c) for e, c in self.coeffs))
 
-    def scale(self, n):
-        if n < 0:
-            raise ValueError("coefficients must stay nonnegative")
-        if n == 0:
-            return LaurentPoly(())
-        return LaurentPoly(tuple((e, c * n) for e, c in self.coeffs))
-
     def evaluate_at_one(self):
         return sum(c for _, c in self.coeffs)
-
-    def support(self):
-        return [e for e, _ in self.coeffs]
 
     def pretty(self):
         """Render like "x^-3 + 2x^-2" with terms in increasing exponent order."""

@@ -101,14 +101,18 @@ class Mackey:
 
 
 def mackey_from_json(d):
-    gd = group_by_name(d["group"])
-    dims = tuple(int(d["dims"][lv]) for lv in gd.levels)
+    """The functor of a to_json_dict document; ValueError on a missing key."""
+    try:
+        gd = group_by_name(d["group"])
+        dims = tuple(int(d["dims"][lv]) for lv in gd.levels)
+        maps = [(d["res"][f"{u}>{lo}"], d["tr"][f"{lo}>{u}"])
+                for u, lo in gd.edges]
+    except KeyError as exc:
+        raise ValueError(f"functor JSON has no key {exc}") from None
     dim = {lv: n for lv, n in zip(gd.levels, dims)}
     res = []
     tr = []
-    for u, lo in gd.edges:
-        rm = d["res"][f"{u}>{lo}"]
-        tm = d["tr"][f"{lo}>{u}"]
+    for (u, lo), (rm, tm) in zip(gd.edges, maps):
         res.append(BitMatrix.from_rows(rm, dim[u]) if rm else BitMatrix.zeros(dim[lo], dim[u]))
         tr.append(BitMatrix.from_rows(tm, dim[lo]) if tm else BitMatrix.zeros(dim[u], dim[lo]))
     return Mackey(d["group"], dims, tuple(res), tuple(tr))
@@ -315,12 +319,14 @@ _DISPLAY_ORDER = (
 )
 
 
-def format_name_expr(expr):
-    """Canonical display form, regrouping full L,D,R inflation triples."""
-    if not expr:
-        return "0"
+def display_terms(expr, glyphs=None):
+    """Display terms of a name expression, in display order.
+
+    Full L,D,R inflation triples are regrouped as phiLDR(X); each term is
+    the atom's glyph (the name itself when glyphs has no entry) with its
+    multiplicity as a power.
+    """
     counts = dict(expr)
-    out = []
     for inner in ("F", "F*", "f"):
         names = [f"phi{h}({inner})" for h in ("L", "D", "R")]
         triple = min(counts.get(nm, 0) for nm in names)
@@ -328,16 +334,20 @@ def format_name_expr(expr):
             for nm in names:
                 counts[nm] -= triple
             counts[f"phiLDR({inner})"] = triple
-    for name in _DISPLAY_ORDER:
-        mult = counts.pop(name, 0)
-        if mult == 1:
-            out.append(name)
-        elif mult > 1:
-            out.append(f"{name}^{mult}")
-    for name, mult in sorted(counts.items()):
+    glyphs = glyphs or {}
+    terms = []
+    unordered = tuple(sorted(set(counts) - set(_DISPLAY_ORDER)))
+    for name in _DISPLAY_ORDER + unordered:
+        mult = counts.get(name, 0)
         if mult:
-            out.append(name if mult == 1 else f"{name}^{mult}")
-    return " + ".join(out)
+            glyph = glyphs.get(name, name)
+            terms.append(glyph if mult == 1 else f"{glyph}^{mult}")
+    return terms
+
+
+def format_name_expr(expr):
+    """Canonical display form like "phiLDR(F*) + g^2"; "0" when empty."""
+    return " + ".join(display_terms(expr)) or "0"
 
 
 def expr_dims(expr, group="K"):
@@ -568,6 +578,22 @@ def hom_space(m1, m2):
     return basis
 
 
+def _span(basis, m1, m2):
+    """Every map in the span of a hom-space basis, as {level: BitMatrix}."""
+    levels = m1.gd.levels
+    for mask in range(1 << len(basis)):
+        maps = {}
+        for lv in levels:
+            acc = BitMatrix.zeros(m2.dim(lv), m1.dim(lv))
+            mm = mask
+            while mm:
+                k = (mm & -mm).bit_length() - 1
+                acc = acc + basis[k][lv]
+                mm &= mm - 1
+            maps[lv] = acc
+        yield maps
+
+
 def is_isomorphic(m1, m2, cap=18):
     """Brute-force isomorphism test via the hom space; exact but small-only."""
     if m1.group != m2.group or m1.dims != m2.dims:
@@ -577,23 +603,8 @@ def is_isomorphic(m1, m2, cap=18):
     basis = hom_space(m1, m2)
     if len(basis) > cap:
         raise ValueError(f"hom space too large to enumerate ({len(basis)})")
-    levels = m1.gd.levels
-    for mask in range(1, 1 << len(basis)):
-        ok = True
-        for lv in levels:
-            n = m1.dim(lv)
-            acc = BitMatrix.zeros(m2.dim(lv), n)
-            mm = mask
-            while mm:
-                k = (mm & -mm).bit_length() - 1
-                acc = acc + basis[k][lv]
-                mm &= mm - 1
-            if acc.rank() != n:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    return any(all(f[lv].rank() == m1.dim(lv) for lv in m1.gd.levels)
+               for f in _span(basis, m1, m2))
 
 
 def rank_tuples_of_hom(m1_expr, m2_expr, group="K", cap=14):
@@ -607,17 +618,5 @@ def rank_tuples_of_hom(m1_expr, m2_expr, group="K", cap=14):
     basis = hom_space(m1, m2)
     if len(basis) > cap:
         raise ValueError(f"hom space too large ({len(basis)})")
-    levels = m1.gd.levels
-    out = set()
-    for mask in range(1 << len(basis)):
-        ranks = []
-        for lv in levels:
-            acc = BitMatrix.zeros(m2.dim(lv), m1.dim(lv))
-            mm = mask
-            while mm:
-                k = (mm & -mm).bit_length() - 1
-                acc = acc + basis[k][lv]
-                mm &= mm - 1
-            ranks.append(acc.rank())
-        out.add(tuple(ranks))
-    return out
+    return {tuple(f[lv].rank() for lv in m1.gd.levels)
+            for f in _span(basis, m1, m2)}

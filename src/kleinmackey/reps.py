@@ -95,18 +95,8 @@ RHO_K = RepK(1, 1, 1, 1)
 SIGMA = RepC2(0, 1)
 RHO_C2 = RepC2(1, 1)
 
-# Restriction matrices to the cyclic subgroups, columns (1, alpha, beta, gamma),
-# rows (1, sigma), exactly as the source tables print them.  Note that these
-# tables treat gamma as the character trivial on L and beta as trivial on D,
-# which is the opposite pairing from the kernel bookkeeping (ker beta = L,
-# ker gamma = D) that the cell structures use; see restrict_rep_by_kernels.
-RESTRICT_MATRICES = {
-    "L": ((1, 0, 0, 1), (0, 1, 1, 0)),
-    "D": ((1, 0, 1, 0), (0, 1, 0, 1)),
-    "R": ((1, 1, 0, 0), (0, 0, 1, 1)),
-}
-
-# Fixed-point homomorphisms, same printed convention.
+# Fixed-point homomorphisms to the cyclic subgroups, columns (1, alpha, beta,
+# gamma), rows (1, sigma), exactly as the source tables print them.
 FIXED_MATRICES = {
     "L": ((1, 0, 0, 0), (0, 0, 0, 1)),
     "D": ((1, 0, 0, 0), (0, 0, 1, 0)),
@@ -123,8 +113,16 @@ def _apply(matrix, v):
 
 
 def restrict_rep(v, h):
-    """Restriction RO(K) -> RO(C2) along the cyclic subgroup h, printed tables."""
-    return _apply(RESTRICT_MATRICES[h], v)
+    """Restriction RO(K) -> RO(C2) along the cyclic subgroup h, printed tables.
+
+    The source's restriction tables treat gamma as the character trivial on
+    L and beta as trivial on D: the opposite pairing from the kernel
+    bookkeeping (ker beta = L, ker gamma = D) that the cell structures use.
+    So the printed restriction is restrict_rep_by_kernels after swapping
+    beta and gamma; the two agree on any representation symmetric in beta
+    and gamma, in particular on multiples of rho.
+    """
+    return restrict_rep_by_kernels(RepK(v.a, v.b, v.d, v.c), h)
 
 
 def fixed_rep(v, h):
@@ -136,8 +134,7 @@ def restrict_rep_by_kernels(v, h):
     """Restriction with a character trivial on h exactly when h is its kernel.
 
     This is the pairing the sphere cell structures realize (alpha dies on R,
-    beta on L, gamma on D); it agrees with restrict_rep on any representation
-    symmetric in (alpha, beta, gamma), in particular on multiples of rho.
+    beta on L, gamma on D); see restrict_rep for the printed convention.
     """
     triv = v.a
     sig = 0

@@ -13,8 +13,8 @@ from functools import lru_cache
 
 from . import bredon
 from .groups import KLEIN
-from .mackey import (catalog, format_name_expr, identify, parse_name_expr,
-                     restrict_to)
+from .mackey import (catalog, display_terms, format_name_expr, identify,
+                     parse_name_expr, restrict_to)
 from .reps import RepC2, RepK, restrict_rep
 
 
@@ -34,8 +34,6 @@ class SliceCell:
 
 
 _GLYPHS = {
-    "F": "F", "F*": "F*", "f": "f", "g": "g", "m": "m", "m*": "m*",
-    "w": "w", "w*": "w*", "mg": "mg", "mg*": "mg*", "W": "W", "W*": "W*",
     "phiL(F)": "φ*_L F", "phiD(F)": "φ*_D F", "phiR(F)": "φ*_R F",
     "phiL(F*)": "φ*_L F*", "phiD(F*)": "φ*_D F*", "phiR(F*)": "φ*_R F*",
     "phiL(f)": "φ*_L f", "phiD(f)": "φ*_D f", "phiR(f)": "φ*_R f",
@@ -48,16 +46,9 @@ def pretty_coeff(expr):
     """Display form like "(φ*_{LDR}F* ⊕ g^2)"; bare name for single atoms."""
     if expr == "C":
         return " C"
-    canonical = format_name_expr(expr)
-    if canonical == "0":
+    parts = display_terms(expr, _GLYPHS)
+    if not parts:
         return " 0"
-    parts = []
-    for chunk in canonical.split(" + "):
-        base, sep, power = chunk.rpartition("^")
-        if sep and power.isdigit():
-            parts.append(f"{_GLYPHS.get(base, base)}^{power}")
-        else:
-            parts.append(_GLYPHS.get(chunk, chunk))
     if len(parts) == 1:
         return parts[0]
     return "(" + " ⊕ ".join(parts) + ")"
@@ -286,18 +277,22 @@ def graded_homotopy_K(a, k, coeff, allow_oracle=False):
         if table is None:
             if not allow_oracle:
                 raise ValueError(f"no closed form for coefficient {atom!r}")
-            table = _oracle_homotopy(a, k, ((atom, 1),))
+            table = oracle_homotopy(RepK(a + k, k, k, k), ((atom, 1),))
         for _ in range(mult):
             for deg, names in table.items():
                 _merge(out, deg, names)
     return out
 
 
-def _oracle_homotopy(a, k, coeff):
-    v = RepK(a + k, k, k, k)
-    table = bredon.homotopy(v, format_name_expr(coeff))
+def oracle_homotopy(v, coeff):
+    """Homotopy names of the v-suspension of H(coeff) over K from the oracle.
+
+    The one place where oracle output becomes catalog names: degrees with
+    zero homotopy are left out, and a functor that is not a catalog sum
+    raises ValueError.
+    """
     out = {}
-    for deg, m in table.items():
+    for deg, m in bredon.homotopy(v, format_name_expr(coeff)).items():
         expr = identify(m)
         if expr is None:
             raise ValueError(f"oracle value not a catalog sum at degree {deg}")

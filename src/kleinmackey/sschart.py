@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .groups import group_by_name
-from .mackey import expr_dims, format_name_expr, rank_tuples_of_hom
+from .mackey import (display_terms, expr_dims, format_name_expr,
+                     rank_tuples_of_hom)
 from .slices import homotopy_of_slice, slice_bounds_K, slice_C2, slice_K
 
 
@@ -394,25 +395,11 @@ def euler_check(n, group="K"):
 # rendering
 
 
+_CHART_GLYPHS = {f"phiLDR({x})": f"p{x}" for x in ("F", "F*", "f")}
+
+
 def _glyph(expr):
-    counts = dict(expr)
-    parts = []
-    for inner in ("F", "F*", "f"):
-        names = [f"phi{h}({inner})" for h in ("L", "D", "R")]
-        t = min(counts.get(nm, 0) for nm in names)
-        if t:
-            for nm in names:
-                counts[nm] -= t
-            parts.append(f"p{inner}" + (f"^{t}" if t > 1 else ""))
-    order = ("F", "F*", "mg", "mg*", "m", "m*", "w", "w*", "W", "W*", "f", "g")
-    for name in order:
-        c = counts.pop(name, 0)
-        if c:
-            parts.append(name + (f"^{c}" if c > 1 else ""))
-    for name, c in sorted(counts.items()):
-        if c:
-            parts.append(name + (f"^{c}" if c > 1 else ""))
-    return "+".join(parts)
+    return "+".join(display_terms(expr, _CHART_GLYPHS))
 
 
 def render(chart, fmt="text", diffs=()):

@@ -15,7 +15,7 @@ from . import bredon, hk, sschart
 from . import slices as slc
 from .mackey import (CATALOG_ATOMS, catalog, check_axioms, dual, direct_sum,
                      expr_dims, fingerprint, format_name_expr, identify,
-                     mackey_from_json)
+                     mackey_from_json, parse_name_expr)
 from .reps import RepC2, RepK, RHO_K
 
 
@@ -74,16 +74,16 @@ def suite_axioms(mackey_json=None, random_count=1000):
     return rep
 
 
-def _box(a_range, bcd_range):
-    return itertools.product(a_range, bcd_range, bcd_range, bcd_range)
+def _box(box, a_box):
+    """Representations with |a| <= a_box and |b|, |c|, |d| <= box."""
+    rng = range(-box, box + 1)
+    return itertools.product(range(-a_box, a_box + 1), rng, rng, rng)
 
 
 def suite_hk_oracle(box=3, a_box=4):
     """Closed-form top-level series equals oracle graded dimensions."""
     rep = Report("hk-oracle")
-    rng_a = range(-a_box, a_box + 1)
-    rng = range(-box, box + 1)
-    for a, b, c, d in _box(rng_a, rng):
+    for a, b, c, d in _box(box, a_box):
         v = RepK(a, b, c, d)
         rep.checked += 1
         closed = hk.poincare_K(v)["K"]
@@ -94,11 +94,13 @@ def suite_hk_oracle(box=3, a_box=4):
     return rep
 
 
-def suite_duality(box=2):
-    """Dual coefficients against the reflected computation, full structure."""
+def suite_duality(box=2, a_box=None):
+    """Dual coefficients against the reflected computation, full structure.
+
+    a_box defaults to box: the default sweep is |a|, |b|, |c|, |d| <= 2.
+    """
     rep = Report("duality")
-    rng = range(-box, box + 1)
-    for a, b, c, d in _box(rng, rng):
+    for a, b, c, d in _box(box, box if a_box is None else a_box):
         v = RepK(a, b, c, d)
         rep.checked += 1
         lhs = {n: fingerprint(m) for n, m in bredon.homotopy(v, "F*").items()}
@@ -182,36 +184,35 @@ def suite_slice_homotopy(k_max=3):
         cases.append((RepK(k + 1, k, k, k), "phiLDR(f)"))
     for v, coeff in cases:
         rep.checked += 1
-        a, kk = v.a - v.b, v.b
+        expr = parse_name_expr(coeff)
         try:
-            formula = slc.graded_homotopy_K(a, kk, slc._expr(coeff))
+            formula = slc.graded_homotopy_K(v.a - v.b, v.b, expr)
+            oracle = slc.oracle_homotopy(v, expr)
         except ValueError as exc:
             rep.fail(f"{coeff} at {v.coeffs()}: {exc}")
             continue
-        oracle = {}
-        for deg, m in bredon.homotopy(v, coeff).items():
-            expr = identify(m)
-            if expr is None:
-                rep.fail(f"{coeff} at {v.coeffs()} degree {deg}: unidentified")
-            elif expr:
-                oracle[deg] = expr
         if formula != oracle:
             rep.fail(f"{coeff} at {v.coeffs()}: table {formula} != oracle {oracle}")
     return rep
 
 
 def suite_euler(n_max=20):
+    """Euler characteristics of the E1 charts; level-e charts have one cell."""
     rep = Report("euler")
     for n in range(0, n_max + 1):
         rep.checked += 1
         result = sschart.euler_check(n)
         if not result["pass"]:
             rep.fail(f"n={n}: totals {result['totals']}")
+        e_cells = [pos for pos, expr in sschart.build_E1(n).entries
+                   if expr_dims(expr, "K")[4]]
+        if e_cells != [(n, n)]:
+            rep.fail(f"n={n}: level-e cells {e_cells} != [({n}, {n})]")
     return rep
 
 
 def suite_convergence(n_max=10):
-    """Canned differentials converge; level-e charts have one populated cell."""
+    """Canned differentials converge; the solver finds them uniquely."""
     rep = Report("convergence")
     for n in range(0, n_max + 1):
         rep.checked += 1
@@ -219,10 +220,6 @@ def suite_convergence(n_max=10):
         result = sschart.check_convergence(chart, sschart.canned_differentials(n))
         if not result["pass"]:
             rep.fail(f"n={n}: {result['failures'] or result['survivors']}")
-        e_cells = [pos for pos, expr in chart.entries
-                   if expr_dims(expr, "K")[4]]
-        if e_cells != [(n, n)]:
-            rep.fail(f"n={n}: level-e cells {e_cells} != [({n}, {n})]")
     for n in (5, 7, 8):
         rep.checked += 1
         patterns = sschart.solve_differentials(sschart.build_E1(n))

@@ -6,20 +6,11 @@ chain oracle and is expected to finish in well under two minutes.
 """
 
 import io
-import itertools
-import random
 import time
 
-from kleinmackey import bredon, hk, sschart, verify
+from kleinmackey import verify
 from kleinmackey import slices as sl
 from kleinmackey.cli import main
-from kleinmackey.mackey import (CATALOG_ATOMS, catalog, check_axioms,
-                                direct_sum, dual, expr_dims, fingerprint,
-                                format_name_expr, identify)
-from kleinmackey.reps import RHO_K, RepK
-
-BOX = list(itertools.product(range(-4, 5), range(-3, 4), range(-3, 4),
-                             range(-3, 4)))
 
 
 def report(name, detail):
@@ -28,15 +19,13 @@ def report(name, detail):
 
 def test_criterion_01_closed_forms_vs_oracle():
     start = time.time()
-    for a, b, c, d in BOX:
-        v = RepK(a, b, c, d)
-        closed = hk.poincare_K(v)["K"]
-        oracle = bredon.homotopy_level_series(v, "F", "K")
-        assert closed == oracle, f"series mismatch at {v.coeffs()}"
+    rep = verify.suite_hk_oracle(box=3, a_box=4)
     elapsed = time.time() - start
+    assert rep.passed, rep.failures[:5]
+    assert rep.checked == 3087
     assert elapsed < 120, f"criterion 1 took {elapsed:.0f}s"
     report("1 closed forms vs oracle",
-           f"{len(BOX)} representations, {elapsed:.1f}s")
+           f"{rep.checked} representations, {elapsed:.1f}s")
 
 
 def test_criterion_02_c2_calibration():
@@ -47,25 +36,16 @@ def test_criterion_02_c2_calibration():
 
 def test_criterion_03_duality():
     start = time.time()
-    for a, b, c, d in BOX:
-        v = RepK(a, b, c, d)
-        lhs = {n: fingerprint(m) for n, m in bredon.homotopy(v, "F*").items()}
-        rhs = {-n: fingerprint(dual(m))
-               for n, m in bredon.homotopy(-v, "F").items()}
-        assert lhs == rhs, f"duality mismatch at {v.coeffs()}"
-    report("3 duality", f"{len(BOX)} representations, {time.time() - start:.1f}s")
+    rep = verify.suite_duality(box=3, a_box=4)
+    assert rep.passed, rep.failures[:5]
+    assert rep.checked == 3087
+    report("3 duality", f"{rep.checked} representations, {time.time() - start:.1f}s")
 
 
 def test_criterion_04_twisting_equivalences():
-    cases = [
-        ("rho-desuspension", -RHO_K, "F", RepK(-4, 0, 0, 0), "F*"),
-        ("m half", -RHO_K, "m", RepK(-2, 0, 0, 0), "mg*"),
-        ("m* half", RHO_K, "m*", RepK(2, 0, 0, 0), "mg"),
-    ]
-    for label, v1, c1, v2, c2 in cases:
-        lhs = {n: fingerprint(m) for n, m in bredon.homotopy(v1, c1).items()}
-        rhs = {n: fingerprint(m) for n, m in bredon.homotopy(v2, c2).items()}
-        assert lhs == rhs, label
+    rep = verify.suite_twistings()
+    assert rep.passed, rep.failures
+    assert rep.checked == 3
     report("4 twisting equivalences", "3 equivalences, all degrees")
 
 
@@ -112,15 +92,6 @@ EXPECTED_TOWERS = {
 }
 
 
-def _oracle_graded_names(susp, coeff):
-    out = {}
-    for deg, m in bredon.homotopy(susp, format_name_expr(coeff)).items():
-        expr = identify(m)
-        assert expr is not None, (susp, coeff, deg)
-        out[deg] = expr
-    return out
-
-
 def test_criterion_05_slices_vs_towers():
     checked = 0
     for n in range(0, 11):
@@ -133,11 +104,10 @@ def test_criterion_05_slices_vs_towers():
                 continue
             assert i in parts, f"tower for n={n} misses the {i}-slice"
             formula = sl.homotopy_of_slice(cell)
-            assert _oracle_graded_names(cell.susp, cell.coeff) == formula
+            assert sl.oracle_homotopy(cell.susp, cell.coeff) == formula
             agg = {}
             for susp, coeff in parts[i]:
-                part = _oracle_graded_names(susp, coeff)
-                for d, names in part.items():
+                for d, names in sl.oracle_homotopy(susp, coeff).items():
                     sl._merge(agg, d, names)
             assert agg == formula, (n, i)
             checked += 1
@@ -153,65 +123,35 @@ def test_criterion_05_slices_vs_towers():
 
 
 def test_criterion_06_slice_homotopy_tables():
-    checked = 0
-    for k in range(1, 4):
-        cases = [
-            (RepK(-k, -k, -k, -k), "F*"),     # dual table, negative twist
-            (RepK(k, k, k, k), "F"),
-            (RepK(k, k, k, k), "m"),
-            (RepK(k, k, k, k), "mg"),
-            (RepK(k, k, k, k), "f"),
-            (RepK(k + 1, k, k, k), "phiLDR(f)"),
-        ]
-        for v, coeff in cases:
-            a, kk = v.a - v.b, v.b
-            formula = sl.graded_homotopy_K(a, kk, sl._expr(coeff))
-            assert formula == _oracle_graded_names(v, sl._expr(coeff)), (v, coeff)
-            checked += 1
-    report("6 slice homotopy tables vs oracle", f"{checked} tables, k <= 3")
+    rep = verify.suite_slice_homotopy(k_max=3)
+    assert rep.passed, rep.failures[:5]
+    assert rep.checked == 18
+    report("6 slice homotopy tables vs oracle", f"{rep.checked} tables, k <= 3")
 
 
 def test_criterion_07_restriction_consistency():
-    for n in range(0, 21):
-        failures = sl.restriction_consistency(n)
-        assert failures == [], (n, failures[:3])
+    rep = verify.suite_slices_restriction(n_max=20)
+    assert rep.passed, rep.failures[:3]
+    assert rep.checked == 21
     report("7 restriction consistency", "n <= 20, all cyclic subgroups")
 
 
 def test_criterion_08_spectral_sequences():
-    for n in range(5, 11):
-        chart = sschart.build_E1(n)
-        result = sschart.check_convergence(chart, sschart.canned_differentials(n))
-        assert result["pass"], (n, result)
-    for n in (5, 7, 8):
-        patterns = sschart.solve_differentials(sschart.build_E1(n))
-        assert len(patterns) == 1, n
-        assert set(patterns[0]) == set(sschart.canned_differentials(n)), n
-    for n in range(0, 21):
-        assert sschart.euler_check(n)["pass"], n
-        chart = sschart.build_E1(n)
-        e_cells = [pos for pos, expr in chart.entries if expr_dims(expr, "K")[4]]
-        assert e_cells == [(n, n)], n
+    # the canned patterns are empty below n = 5
+    rep = verify.suite_convergence(n_max=10)
+    assert rep.passed, rep.failures
+    assert rep.checked == 14
+    rep = verify.suite_euler(n_max=20)
+    assert rep.passed, rep.failures
+    assert rep.checked == 21
     report("8 spectral sequence convergence",
            "canned n=5..10 at 5 levels; unique patterns n=5,7,8; euler n<=20")
 
 
 def test_criterion_09_axioms_and_involutions():
-    for name in CATALOG_ATOMS:
-        assert check_axioms(catalog(name)) == [], name
-    pairing = {"F": "F*", "m": "m*", "w": "w*", "mg": "mg*", "W": "W*"}
-    for a, b in pairing.items():
-        assert dual(catalog(a)) == catalog(b)
-        assert dual(catalog(b)) == catalog(a)
-    for name in CATALOG_ATOMS:
-        assert dual(dual(catalog(name))) == catalog(name)
-    rng = random.Random(20260810)
-    atoms = list(CATALOG_ATOMS)
-    for _ in range(10000):
-        picks = [atoms[rng.randrange(len(atoms))]
-                 for _ in range(rng.randrange(1, 5))]
-        m = direct_sum([catalog(p) for p in picks])
-        assert check_axioms(m) == [], picks
+    rep = verify.suite_axioms(random_count=10000)
+    assert rep.passed, rep.failures[:5]
+    assert rep.checked == 10047
     report("9 axioms and involutions",
            "catalog + 10000 randomized sums, duality pairing exact")
 

@@ -54,10 +54,22 @@ def test_verify_exit_codes(tmp_path):
     assert code == 1 and "FAIL" in text
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path, capsys):
     assert run(["slice", "--group", "K", "--n", "8"])[0] == 2       # missing --i
     assert run(["poincare", "--rep", "x"])[0] == 2                  # parse error
     assert run(["nonsense"])[0] == 2
+    capsys.readouterr()
+    missing = str(tmp_path / "missing.json")
+    assert run(["mackey", "--file", missing]) == (2, "")
+    assert capsys.readouterr().err.count("\n") == 1
+    # a functor file without the L level under dims
+    from kleinmackey.mackey import catalog
+    doc = catalog("F").to_json_dict()
+    del doc["dims"]["L"]
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps(doc))
+    assert run(["verify", "--suite", "axioms", "--file", str(partial)]) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_chart_svg_out(tmp_path):

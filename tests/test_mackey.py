@@ -129,6 +129,8 @@ def test_hom_space_and_iso():
     assert len(hom_space(trip, trip)) == 3
     assert is_isomorphic(trip, trip)
     assert not is_isomorphic(catalog("F"), catalog("F*"))
+    # the zero map is an isomorphism of zero functors
+    assert is_isomorphic(zero_mackey(), zero_mackey())
     # no nonzero maps from the geometric functor into the triple
     assert len(hom_space(catalog("g"), trip)) == 0
 

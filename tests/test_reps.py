@@ -44,6 +44,25 @@ def test_parse_examples():
         parse_rep("1,2,3")
 
 
+# the source's restriction tables: columns (1, alpha, beta, gamma), rows
+# (1, sigma)
+PRINTED_RESTRICTIONS = {
+    "L": ((1, 0, 0, 1), (0, 1, 1, 0)),
+    "D": ((1, 0, 1, 0), (0, 1, 0, 1)),
+    "R": ((1, 1, 0, 0), (0, 0, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("h", sorted(PRINTED_RESTRICTIONS))
+@given(v=reps)
+def test_printed_restriction_is_kernel_restriction_beta_gamma_swapped(h, v):
+    triv, sig = PRINTED_RESTRICTIONS[h]
+    want = RepC2(sum(m * x for m, x in zip(triv, v.coeffs())),
+                 sum(m * x for m, x in zip(sig, v.coeffs())))
+    assert restrict_rep(v, h) == want
+    assert restrict_rep_by_kernels(RepK(v.a, v.b, v.d, v.c), h) == want
+
+
 @given(reps, reps, st.sampled_from(["L", "D", "R"]))
 def test_additivity(v, w, h):
     assert restrict_rep(v + w, h) == restrict_rep(v, h) + restrict_rep(w, h)
