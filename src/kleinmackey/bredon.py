@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .f2 import BitMatrix, homology_reps
 from .groups import char_twist, group_by_name
@@ -221,6 +222,17 @@ def sphere_complex(v, group=None):
 # coefficients and homology
 
 
+class _Slot(NamedTuple):
+    """One cell's place in the basis of C_n at one level."""
+
+    off: int        # first basis index of the cell's blocks
+    reps: tuple     # coset reps of the orbit at this level, in block order
+    index: dict     # coset rep -> position in reps
+    bdim: int       # coefficient dimension of one block
+    meet: str       # stab & level
+    join: str       # stab * level
+
+
 class LevelComplexes:
     """A cell complex evaluated with a coefficient functor at every level."""
 
@@ -231,9 +243,11 @@ class LevelComplexes:
         self.coeff = coeff
         gd = cx.gd
         self.levels = gd.levels
-        # basis offsets: per level, per degree, per cell: (offset, cosets, block dim)
+        # per level, per degree: one _Slot per cell
         self.layout = {}
         self.dims = {}
+        # composite res/tr coefficient blocks by (transfer, upper, lower)
+        self._blocks = {}
         for lv in self.levels:
             self.layout[lv] = {}
             self.dims[lv] = {}
@@ -241,15 +255,28 @@ class LevelComplexes:
                 off = 0
                 per_cell = []
                 for cell in cs:
-                    reps = gd.cosets(gd.join(lv, cell.stab))
-                    bdim = coeff.dim(gd.meet(lv, cell.stab))
-                    per_cell.append((off, reps, bdim))
+                    join = gd.join(lv, cell.stab)
+                    meet = gd.meet(lv, cell.stab)
+                    reps = gd.cosets(join)
+                    bdim = coeff.dim(meet)
+                    per_cell.append(_Slot(off, reps, {r: i for i, r in enumerate(reps)},
+                                          bdim, meet, join))
                     off += len(reps) * bdim
                 self.layout[lv][n] = per_cell
                 self.dims[lv][n] = off
 
     def dim(self, lv, n):
         return self.dims[lv].get(n, 0)
+
+    def _block(self, transfer, upper, lower):
+        """Composite transfer m(lower) -> m(upper), or restriction back."""
+        key = (transfer, upper, lower)
+        block = self._blocks.get(key)
+        if block is None:
+            block = (self.coeff.tr_map(lower, upper) if transfer
+                     else self.coeff.res_map(upper, lower))
+            self._blocks[key] = block
+        return block
 
     def differential(self, lv, n):
         """Matrix of d: C_n(lv) -> C_{n-1}(lv)."""
@@ -260,28 +287,20 @@ class LevelComplexes:
         cols = self.dim(lv, n)
         data = [0] * rows
         for src, tgt, kind, trans in self.cx.entries.get(n, ()):
-            s_off, s_reps, s_bdim = src_layout[src]
-            t_off, t_reps, t_bdim = tgt_layout[tgt]
-            s_stab = self.cx.cells[n][src].stab
-            t_stab = self.cx.cells[n - 1][tgt].stab
-            s_meet = gd.meet(lv, s_stab)
-            t_meet = gd.meet(lv, t_stab)
+            s = src_layout[src]
+            t = tgt_layout[tgt]
             if kind == "up":
-                block = self.coeff.tr_map(s_meet, t_meet)
-                t_join = gd.join(lv, t_stab)
-                for ci, crep in enumerate(s_reps):
-                    target_rep = gd.coset_rep(crep ^ trans, t_join)
-                    ti = t_reps.index(target_rep)
+                block = self._block(True, t.meet, s.meet)
+                for ci, crep in enumerate(s.reps):
+                    ti = t.index[gd.coset_rep(crep ^ trans, t.join)]
                     _xor_block(data, block,
-                               t_off + ti * t_bdim, s_off + ci * s_bdim)
+                               t.off + ti * t.bdim, s.off + ci * s.bdim)
             else:
-                block = self.coeff.res_map(s_meet, t_meet)
-                s_join = gd.join(lv, s_stab)
-                for ti, trep in enumerate(t_reps):
-                    source_rep = gd.coset_rep(trep ^ trans, s_join)
-                    ci = s_reps.index(source_rep)
+                block = self._block(False, s.meet, t.meet)
+                for ti, trep in enumerate(t.reps):
+                    ci = s.index[gd.coset_rep(trep ^ trans, s.join)]
                     _xor_block(data, block,
-                               t_off + ti * t_bdim, s_off + ci * s_bdim)
+                               t.off + ti * t.bdim, s.off + ci * s.bdim)
         return BitMatrix(rows, cols, tuple(data))
 
     def chain_res(self, upper, lower, n):
@@ -300,25 +319,15 @@ class LevelComplexes:
         sit at the transposed positions.
         """
         gd = self.cx.gd
-        up_layout = self.layout[upper].get(n, [])
-        lo_layout = self.layout[lower].get(n, [])
         rows, cols = self.dim(lower, n), self.dim(upper, n)
         if transfer:
             rows, cols = cols, rows
         data = [0] * rows
-        for cell_idx, cell in enumerate(self.cx.cells.get(n, ())):
-            u_off, u_reps, u_bdim = up_layout[cell_idx]
-            l_off, l_reps, l_bdim = lo_layout[cell_idx]
-            u_join = gd.join(upper, cell.stab)
-            u_meet = gd.meet(upper, cell.stab)
-            l_meet = gd.meet(lower, cell.stab)
-            if transfer:
-                block = self.coeff.tr_map(l_meet, u_meet)
-            else:
-                block = self.coeff.res_map(u_meet, l_meet)
-            for li, lrep in enumerate(l_reps):
-                ui = u_reps.index(gd.coset_rep(lrep, u_join))
-                l_pos, u_pos = l_off + li * l_bdim, u_off + ui * u_bdim
+        for u, lo in zip(self.layout[upper].get(n, ()), self.layout[lower].get(n, ())):
+            block = self._block(transfer, u.meet, lo.meet)
+            for li, lrep in enumerate(lo.reps):
+                ui = u.index[gd.coset_rep(lrep, u.join)]
+                l_pos, u_pos = lo.off + li * lo.bdim, u.off + ui * u.bdim
                 if transfer:
                     _xor_block(data, block, u_pos, l_pos)
                 else:
@@ -385,15 +394,8 @@ def homology(lvl: LevelComplexes, levels=None):
 
 
 def _induced(chain_map, src_reps, tgt_proj, tgt_dim):
-    cols = []
-    for v in src_reps:
-        cols.append(tgt_proj(chain_map.apply(v)))
-    rows = [0] * tgt_dim
-    for j, col in enumerate(cols):
-        for i in range(tgt_dim):
-            if (col >> i) & 1:
-                rows[i] |= 1 << j
-    return BitMatrix(tgt_dim, len(src_reps), tuple(rows))
+    cols = tuple(tgt_proj(chain_map.apply(v)) for v in src_reps)
+    return BitMatrix(len(src_reps), tgt_dim, cols).transpose()
 
 
 def _coeff_of(name, group):

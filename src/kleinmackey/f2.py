@@ -56,9 +56,12 @@ class BitMatrix:
         return all(r == 0 for r in self.data)
 
     def transpose(self):
-        cols = []
-        for j in range(self.cols):
-            cols.append(sum((1 << i) for i in range(self.rows) if self.entry(i, j)))
+        cols = [0] * self.cols
+        for i, row in enumerate(self.data):
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= 1 << i
+                row ^= low
         return BitMatrix(self.cols, self.rows, tuple(cols))
 
     def __add__(self, other):
@@ -223,11 +226,7 @@ def homology_reps(d_out, d_in):
     basis of ker(d_out)/im(d_in) and project(cycle) -> coordinate bitmask.
     """
     span = EchelonSpan()
-    for j in range(d_in.cols):
-        col = 0
-        for i in range(d_in.rows):
-            if d_in.entry(i, j):
-                col |= 1 << i
+    for col in d_in.transpose().data:
         span.add(col, tagged=False)
     reps = []
     for v in d_out.kernel_basis():

@@ -22,6 +22,22 @@ class GroupData:
     char_kernels: dict     # character name -> subgroup name it dies on
     edges: tuple           # adjacent (upper, lower) pairs in the lattice
 
+    def __post_init__(self):
+        # Lattice and coset tables, built once: the oracle looks these up
+        # millions of times.  coset_rep is the least element of g*H.
+        subs = self.subgroups
+        name_of = {elems: name for name, elems in subs.items()}
+        rep = {(g, h): min(g ^ s for s in subs[h]) for g in self.elements for h in subs}
+        tables = {
+            "_meet": {(a, b): name_of[subs[a] & subs[b]] for a in subs for b in subs},
+            "_join": {(a, b): name_of[frozenset(x ^ y for x in subs[a] for y in subs[b])]
+                      for a in subs for b in subs},
+            "_coset_rep": rep,
+            "_cosets": {h: tuple(sorted({rep[(g, h)] for g in self.elements})) for h in subs},
+        }
+        for attr, table in tables.items():
+            object.__setattr__(self, attr, table)  # the dataclass is frozen
+
     def order(self, h):
         return len(self.subgroups[h])
 
@@ -29,23 +45,16 @@ class GroupData:
         return self.subgroups[a] <= self.subgroups[b]
 
     def meet(self, a, b):
-        return self._name_of(self.subgroups[a] & self.subgroups[b])
+        return self._meet[(a, b)]
 
     def join(self, a, b):
-        prod = frozenset(x ^ y for x in self.subgroups[a] for y in self.subgroups[b])
-        return self._name_of(prod)
-
-    def _name_of(self, elems):
-        for name, s in self.subgroups.items():
-            if s == elems:
-                return name
-        raise ValueError(f"not a subgroup: {elems}")
+        return self._join[(a, b)]
 
     def coset_rep(self, g, h):
-        return min(g ^ s for s in self.subgroups[h])
+        return self._coset_rep[(g, h)]
 
     def cosets(self, h):
-        return tuple(sorted({self.coset_rep(g, h) for g in self.elements}))
+        return self._cosets[h]
 
     def subgroup_chain(self, a, b):
         """Levels from a down to b (inclusive) along lattice edges; needs b <= a."""

@@ -101,21 +101,44 @@ class Mackey:
 
 
 def mackey_from_json(d):
-    """The functor of a to_json_dict document; ValueError on a missing key."""
+    """The functor of a to_json_dict document.
+
+    ValueError, naming the key, when the document or one of its dims, res
+    and tr is not an object, a key is missing, a dimension is not a
+    nonnegative integer, or a matrix is not a list of 0/1 rows of the shape
+    dims gives it.
+    """
+    _json_object(d, "the document")
     try:
         gd = group_by_name(d["group"])
-        dims = tuple(int(d["dims"][lv]) for lv in gd.levels)
-        maps = [(d["res"][f"{u}>{lo}"], d["tr"][f"{lo}>{u}"])
-                for u, lo in gd.edges]
+        dims_doc, res_doc, tr_doc = (_json_object(d[key], key)
+                                     for key in ("dims", "res", "tr"))
+        dim = {lv: dims_doc[lv] for lv in gd.levels}
+        for lv, n in dim.items():
+            if type(n) is not int or n < 0:
+                raise ValueError(f"functor JSON: dims {lv!r} is not a nonnegative integer")
+        res = tuple(_json_matrix(res_doc[f"{u}>{lo}"], f"res '{u}>{lo}'", dim[lo], dim[u])
+                    for u, lo in gd.edges)
+        tr = tuple(_json_matrix(tr_doc[f"{lo}>{u}"], f"tr '{lo}>{u}'", dim[u], dim[lo])
+                   for u, lo in gd.edges)
     except KeyError as exc:
         raise ValueError(f"functor JSON has no key {exc}") from None
-    dim = {lv: n for lv, n in zip(gd.levels, dims)}
-    res = []
-    tr = []
-    for (u, lo), (rm, tm) in zip(gd.edges, maps):
-        res.append(BitMatrix.from_rows(rm, dim[u]) if rm else BitMatrix.zeros(dim[lo], dim[u]))
-        tr.append(BitMatrix.from_rows(tm, dim[lo]) if tm else BitMatrix.zeros(dim[u], dim[lo]))
-    return Mackey(d["group"], dims, tuple(res), tuple(tr))
+    return Mackey(gd.name, tuple(dim.values()), res, tr)
+
+
+def _json_object(value, key):
+    if not isinstance(value, dict):
+        raise ValueError(f"functor JSON: {key} is not an object")
+    return value
+
+
+def _json_matrix(rows, key, n_rows, n_cols):
+    if (not isinstance(rows, list) or len(rows) != n_rows
+            or any(not isinstance(row, list) or len(row) != n_cols for row in rows)):
+        raise ValueError(f"functor JSON: {key} is not a {n_rows}x{n_cols} matrix")
+    if any(type(x) is not int or x not in (0, 1) for row in rows for x in row):
+        raise ValueError(f"functor JSON: {key} has an entry other than 0 or 1")
+    return BitMatrix.from_rows(rows, n_cols)
 
 
 def zero_mackey(group="K"):

@@ -70,6 +70,20 @@ def test_usage_errors(tmp_path, capsys):
     partial.write_text(json.dumps(doc))
     assert run(["verify", "--suite", "axioms", "--file", str(partial)]) == (2, "")
     assert capsys.readouterr().err.startswith("error: ")
+    # a document that is not an object, a 2 entry, and a K>L restriction
+    # with two rows where dims["L"] is 1
+    two = catalog("F").to_json_dict()
+    two["res"]["K>L"] = [[2]]
+    tall = catalog("F").to_json_dict()
+    tall["res"]["K>L"] = [[1], [1]]
+    for i, doc in enumerate(([1, 2], two, tall)):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps(doc))
+        for argv in (["mackey", "--file", str(bad)],
+                     ["verify", "--suite", "axioms", "--file", str(bad)]):
+            assert run(argv) == (2, ""), (doc, argv)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_chart_svg_out(tmp_path):

@@ -1,6 +1,7 @@
 from hypothesis import given, strategies as st
 
-from kleinmackey.f2 import BitMatrix, homology_reps, kernel_basis, quotient_dims, rank
+from kleinmackey.f2 import (BitMatrix, EchelonSpan, homology_reps, kernel_basis,
+                            quotient_dims, rank)
 
 
 def M(rows, cols):
@@ -57,12 +58,14 @@ def test_homology_reps_chain():
     assert project(reps[0]) == 1
 
 
-@st.composite
-def bit_matrices(draw):
-    rows = draw(st.integers(0, 7))
-    cols = draw(st.integers(0, 7))
-    data = [draw(st.integers(0, (1 << cols) - 1)) for _ in range(rows)]
-    return BitMatrix(rows, cols, tuple(data))
+def bit_matrices_of(rows, cols):
+    return st.lists(st.integers(0, (1 << cols) - 1), min_size=rows,
+                    max_size=rows).map(lambda data: BitMatrix(rows, cols, tuple(data)))
+
+
+def bit_matrices():
+    return st.tuples(st.integers(0, 7), st.integers(0, 7)).flatmap(
+        lambda shape: bit_matrices_of(*shape))
 
 
 @given(bit_matrices())
@@ -79,3 +82,46 @@ def test_rank_nullity(m):
 def test_kernel_vectors_annihilate(m):
     for v in kernel_basis(m):
         assert m.apply(v) == 0
+
+
+@given(bit_matrices())
+def test_transpose_matches_entries(m):
+    t = m.transpose()
+    assert (t.rows, t.cols) == (m.cols, m.rows)
+    for j in range(m.cols):
+        assert t.data[j] == sum(1 << i for i in range(m.rows) if m.entry(i, j))
+
+
+def _homology_reps_bitwise(d_out, d_in):
+    """homology_reps with the columns of d_in read one entry at a time."""
+    span = EchelonSpan()
+    for j in range(d_in.cols):
+        span.add(sum(1 << i for i in range(d_in.rows) if d_in.entry(i, j)))
+    reps = [v for v in d_out.kernel_basis() if span.add(v, tagged=True)]
+    return reps, span
+
+
+@st.composite
+def chain_pairs(draw):
+    """d_out: C -> C_out and d_in: C_in -> C with d_out @ d_in = 0."""
+    n_in, n, n_out = (draw(st.integers(0, 6)) for _ in range(3))
+    d_out = draw(bit_matrices_of(n_out, n))
+    kernel = d_out.kernel_basis()
+    cols = [0] * n_in
+    for j in range(n_in):
+        for v in kernel:
+            if draw(st.booleans()):
+                cols[j] ^= v
+    d_in = BitMatrix.from_rows([[(col >> i) & 1 for col in cols] for i in range(n)], n_in)
+    return d_out, d_in
+
+
+@given(chain_pairs())
+def test_homology_reps_matches_bitwise_reference(pair):
+    d_out, d_in = pair
+    reps, project = homology_reps(d_out, d_in)
+    ref_reps, ref_span = _homology_reps_bitwise(d_out, d_in)
+    assert reps == ref_reps
+    # both projections are linear, so agreeing on a basis of cycles suffices
+    for cycle in d_out.kernel_basis():
+        assert project(cycle) == ref_span.reduce(cycle)[1]

@@ -109,27 +109,39 @@ def test_sphere_complex_examples():
     assert d.cells == dual_e.cells and d.entries == dual_e.entries
 
 
-def test_d_squared_zero_and_mackey_chain_maps():
+def _check_d_squared_zero_and_chain_maps(coeff, box):
+    """d^2 = 0 at every level, and res/tr commute with d, on S^(0,b,c,d)."""
     gd = br.sphere_complex(RHO_K).gd
-    for b, c, d in itertools.product((-3, -2, -1, 0, 1, 2, 3), repeat=3):
+    for b, c, d in itertools.product(box, repeat=3):
         cx = br.sphere_complex(RepK(0, b, c, d))
-        lv = br.with_coefficients(cx, "F")
+        lv = br.with_coefficients(cx, coeff)
         degs = cx.degrees()
         for level in gd.levels:
             for n in degs:
                 dn = lv.differential(level, n)
                 dn1 = lv.differential(level, n + 1)
-                assert (dn @ dn1).is_zero(), (b, c, d, level, n)
+                assert (dn @ dn1).is_zero(), (coeff, b, c, d, level, n)
         for upper, lower in gd.edges:
             for n in degs:
                 dn_u = lv.differential(upper, n)
                 dn_l = lv.differential(lower, n)
                 res_n = lv.chain_res(upper, lower, n)
                 res_n1 = lv.chain_res(upper, lower, n - 1)
-                assert res_n1 @ dn_u == dn_l @ res_n, (b, c, d, upper, lower, n)
+                assert res_n1 @ dn_u == dn_l @ res_n, (coeff, b, c, d, upper, lower, n)
                 tr_n = lv.chain_tr(lower, upper, n)
                 tr_n1 = lv.chain_tr(lower, upper, n - 1)
-                assert tr_n1 @ dn_l == dn_u @ tr_n, (b, c, d, upper, lower, n)
+                assert tr_n1 @ dn_l == dn_u @ tr_n, (coeff, b, c, d, upper, lower, n)
+
+
+def test_d_squared_zero_and_mackey_chain_maps():
+    _check_d_squared_zero_and_chain_maps("F", (-3, -2, -1, 0, 1, 2, 3))
+
+
+def test_d_squared_zero_and_chain_maps_with_nonzero_transfers():
+    # F has only zero transfers; these coefficients have restrictions and
+    # transfers that differ, so the cached res/tr blocks must not mix
+    for coeff in ("W", "mg*", "m"):
+        _check_d_squared_zero_and_chain_maps(coeff, (-2, -1, 0, 1, 2))
 
 
 def test_euler_characteristic():
