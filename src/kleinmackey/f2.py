@@ -21,8 +21,8 @@ class BitMatrix:
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0 or len(self.data) != self.rows:
             raise ValueError("inconsistent BitMatrix shape")
-        mask = (1 << self.cols) - 1
-        if any(r & ~mask for r in self.data):
+        data = self.data
+        if data and (min(data) < 0 or max(data) >> self.cols):
             raise ValueError("row has bits outside [0, cols)")
 
     @staticmethod

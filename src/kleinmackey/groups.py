@@ -23,8 +23,8 @@ class GroupData:
     edges: tuple           # adjacent (upper, lower) pairs in the lattice
 
     def __post_init__(self):
-        # Lattice and coset tables, built once: the oracle looks these up
-        # millions of times.  coset_rep is the least element of g*H.
+        # Lattice, coset and position tables, built once: the oracle looks
+        # these up millions of times.  coset_rep is the least element of g*H.
         subs = self.subgroups
         name_of = {elems: name for name, elems in subs.items()}
         rep = {(g, h): min(g ^ s for s in subs[h]) for g in self.elements for h in subs}
@@ -34,6 +34,8 @@ class GroupData:
                       for a in subs for b in subs},
             "_coset_rep": rep,
             "_cosets": {h: tuple(sorted({rep[(g, h)] for g in self.elements})) for h in subs},
+            "level_index": {lv: i for i, lv in enumerate(self.levels)},
+            "edge_index": {edge: i for i, edge in enumerate(self.edges)},
         }
         for attr, table in tables.items():
             object.__setattr__(self, attr, table)  # the dataclass is frozen

@@ -30,10 +30,10 @@ class Mackey:
         return group_by_name(self.group)
 
     def dim(self, level):
-        return self.dims[self.gd.levels.index(level)]
+        return self.dims[self.gd.level_index[level]]
 
     def _edge_index(self, upper, lower):
-        return self.gd.edges.index((upper, lower))
+        return self.gd.edge_index[(upper, lower)]
 
     def res_edge(self, upper, lower):
         return self.res[self._edge_index(upper, lower)]

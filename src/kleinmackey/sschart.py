@@ -289,10 +289,14 @@ def solve_differentials(chart, cap=20000):
     """All exact cancellation patterns compatible with functor-map ranks.
 
     Within a pattern every non-surviving dimension is killed exactly once,
-    so patterns form an antichain and each one is minimal.  Results are
-    page-feasible (no cell is over-consumed on any page).  Raises
-    PatternCapExceeded (carrying the partial list) past cap patterns.
+    so patterns form an antichain and each one is minimal.  Exact budgets
+    make every pattern page-feasible: a cell's use on its first pages is at
+    most its total use, which is at most its dimension.  Raises
+    PatternCapExceeded, carrying the first cap patterns found, when there
+    are more than cap; cap=None lists them all.
     """
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
     gd = chart.gd
     nlev = len(gd.levels)
     dims = chart.dims()
@@ -313,65 +317,57 @@ def solve_differentials(chart, cap=20000):
                 pairs.append((src, tgt))
     pairs.sort(key=lambda p: (-p[0][0], p[0][1], p[1][1]))
     emap = chart.entry_map()
-    choices = []
-    for src, tgt in pairs:
-        tuples = achievable_tuples(emap[src], emap[tgt], chart.group)
-        choices.append((src, tgt, sorted(tuples)))
 
-    # indices where all flows touching the block's source rows are decided
-    last_pair_of_source = {}
-    for idx, (src, _, _) in enumerate(choices):
-        last_pair_of_source[src] = idx
+    # room[pos]: per level, the most the pairs not yet passed can still
+    # remove from pos, filled from the last pair back.  A branch whose
+    # budget exceeds the room of a cell its pair touches has no pattern
+    # below it; at a cell's last pair the room is zero, so every leaf
+    # reached has spent every budget exactly.
+    room = {pos: (0,) * nlev for pos in entries}
+    steps = []
+    for src, tgt in reversed(pairs):
+        tuples = sorted(achievable_tuples(emap[src], emap[tgt], chart.group))
+        steps.append((src, tgt, tgt[1] - src[1], tuples, room[src], room[tgt]))
+        top = [max(col) for col in zip(*tuples)]
+        for pos in (src, tgt):
+            room[pos] = tuple(a + b for a, b in zip(room[pos], top))
+    steps.reverse()
+    # room is now what all pairs together can remove: a cell they cannot
+    # empty, such as one no pair touches, leaves no pattern at all
+    if any(b > r for pos in entries for b, r in zip(budget[pos], room[pos])):
+        return []
 
     patterns = []
+    chosen = []
 
-    def page_feasible(assign):
-        flows = {}
-        for (src, tgt), ranks in assign.items():
-            r = tgt[1] - src[1]
-            flows.setdefault(src, []).append((r, ranks))
-            flows.setdefault(tgt, []).append((r, ranks))
-        for pos, fl in flows.items():
-            for j in range(nlev):
-                left = dims[pos][j]
-                for r in sorted({x[0] for x in fl}):
-                    used = sum(rk[j] for rr, rk in fl if rr == r)
-                    if used > left:
-                        return False
-                    left -= used
-        return True
-
-    def dfs(idx, assign):
-        if cap is not None and len(patterns) >= cap:
-            raise PatternCapExceeded(sorted(patterns))
-        if idx == len(choices):
-            if all(all(x == 0 for x in b) for b in budget.values()):
-                if page_feasible(assign):
-                    diffs = tuple(sorted(
-                        Differential(tgt[1] - src[1], src, tgt, ranks)
-                        for (src, tgt), ranks in assign.items()
-                        if any(ranks)))
-                    patterns.append(diffs)
+    def dfs(idx):
+        if idx == len(steps):
+            if len(patterns) == cap:
+                raise PatternCapExceeded(sorted(patterns))
+            patterns.append(tuple(sorted(chosen)))
             return
-        src, tgt, tuples = choices[idx]
+        src, tgt, r, tuples, room_s, room_t = steps[idx]
         bs, bt = budget[src], budget[tgt]
+        # ranks fit both budgets and leave each no more than its room
+        hi = [min(a, b) for a, b in zip(bs, bt)]
+        lo = [max(a - c, b - d) for a, c, b, d in zip(bs, room_s, bt, room_t)]
         for ranks in tuples:
-            if any(r > bs[j] or r > bt[j] for j, r in enumerate(ranks)):
+            if not all(low <= x <= high for low, x, high in zip(lo, ranks, hi)):
                 continue
-            for j, r in enumerate(ranks):
-                bs[j] -= r
-                bt[j] -= r
+            for j, x in enumerate(ranks):
+                bs[j] -= x
+                bt[j] -= x
             if any(ranks):
-                assign[(src, tgt)] = ranks
-            if last_pair_of_source.get(src) != idx or \
-                    all(x == 0 for x in budget[src]):
-                dfs(idx + 1, assign)
-            assign.pop((src, tgt), None)
-            for j, r in enumerate(ranks):
-                bs[j] += r
-                bt[j] += r
+                chosen.append(Differential(r, src, tgt, ranks))
+                dfs(idx + 1)
+                chosen.pop()
+            else:
+                dfs(idx + 1)
+            for j, x in enumerate(ranks):
+                bs[j] += x
+                bt[j] += x
 
-    dfs(0, {})
+    dfs(0)
     return sorted(patterns)
 
 

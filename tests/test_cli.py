@@ -59,6 +59,9 @@ def test_usage_errors(tmp_path, capsys):
     assert run(["poincare", "--rep", "x"])[0] == 2                  # parse error
     assert run(["nonsense"])[0] == 2
     capsys.readouterr()
+    assert run(["chart", "--n", "9", "--solve", "--cap", "-1"]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     missing = str(tmp_path / "missing.json")
     assert run(["mackey", "--file", missing]) == (2, "")
     assert capsys.readouterr().err.count("\n") == 1

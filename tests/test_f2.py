@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from kleinmackey.f2 import (BitMatrix, EchelonSpan, homology_reps, kernel_basis,
@@ -30,6 +31,16 @@ def test_degenerate_shapes():
     assert BitMatrix.zeros(0, 4).rank() == 0
     assert BitMatrix.zeros(4, 0).rank() == 0
     assert len(BitMatrix.zeros(0, 4).kernel_basis()) == 4
+
+
+def test_row_range_check():
+    assert BitMatrix(2, 3, (0b111, 0)).rows == 2
+    assert BitMatrix(1, 0, (0,)).cols == 0
+    for rows, cols, data in ((1, 3, (-1,)), (2, 3, (0, 0b1000)), (1, 0, (1,))):
+        with pytest.raises(ValueError):
+            BitMatrix(rows, cols, data)
+    with pytest.raises(ValueError):
+        BitMatrix(2, 3, (0,))
 
 
 def test_matmul_apply_transpose():

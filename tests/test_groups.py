@@ -7,7 +7,7 @@ from kleinmackey.groups import C2, KLEIN
 
 @pytest.mark.parametrize("gd", [KLEIN, C2], ids=lambda gd: gd.name)
 def test_tables_match_set_definitions(gd):
-    """The table-backed lookups equal the subgroup set operations they replace."""
+    """The table-backed lookups equal the set operations and positions they replace."""
     subs = gd.subgroups
 
     def name_of(elems):
@@ -23,3 +23,7 @@ def test_tables_match_set_definitions(gd):
             assert gd.coset_rep(g, h) == min(g ^ s for s in subs[h]), (g, h)
         assert gd.cosets(h) == tuple(sorted({min(g ^ s for s in subs[h])
                                              for g in gd.elements})), h
+    for i, lv in enumerate(gd.levels):
+        assert gd.level_index[lv] == i
+    for i, edge in enumerate(gd.edges):
+        assert gd.edge_index[edge] == i

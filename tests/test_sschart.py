@@ -95,6 +95,121 @@ def test_solver_cap():
     assert len(exc.value.patterns) == 2
 
 
+def test_solver_cap_counts_exactly():
+    # a cap equal to the number of patterns is no truncation
+    assert len(ss.solve_differentials(ss.build_E1(12), cap=386)) == 386
+    assert len(ss.solve_differentials(ss.build_E1(11), cap=80)) == 80
+    with pytest.raises(ss.PatternCapExceeded) as exc:
+        ss.solve_differentials(ss.build_E1(12), cap=385)
+    assert len(exc.value.patterns) == 385
+    assert exc.value.patterns == sorted(exc.value.patterns)
+    assert str(exc.value) == "more than 385 differential patterns"
+    with pytest.raises(ValueError):
+        ss.solve_differentials(ss.build_E1(9), cap=-1)
+
+
+def _reference_solve(chart, cap=20000):
+    """The solver as it was before pruning by remaining capacity.
+
+    It prunes only when a source cell's last pair leaves budget behind, and
+    checks budgets and page feasibility at each leaf.
+    """
+    nlev = len(chart.gd.levels)
+    dims = chart.dims()
+    entries = sorted(dims)
+    survivors = ss.expected_survivors(chart)
+    budget = {}
+    for pos in entries:
+        want = survivors.get(pos, (0,) * nlev)
+        if any(w > d for w, d in zip(want, dims[pos])):
+            return []
+        budget[pos] = [d - w for d, w in zip(dims[pos], want)]
+    pairs = [(src, tgt) for src in entries for tgt in entries
+             if tgt[0] == src[0] - 1 and tgt[1] > src[1]]
+    pairs.sort(key=lambda p: (-p[0][0], p[0][1], p[1][1]))
+    emap = chart.entry_map()
+    choices = [(src, tgt, sorted(ss.achievable_tuples(emap[src], emap[tgt],
+                                                      chart.group)))
+               for src, tgt in pairs]
+    last_pair_of_source = {src: idx for idx, (src, _, _) in enumerate(choices)}
+    patterns = []
+
+    def page_feasible(assign):
+        flows = {}
+        for (src, tgt), ranks in assign.items():
+            r = tgt[1] - src[1]
+            flows.setdefault(src, []).append((r, ranks))
+            flows.setdefault(tgt, []).append((r, ranks))
+        for pos, fl in flows.items():
+            for j in range(nlev):
+                left = dims[pos][j]
+                for r in sorted({x[0] for x in fl}):
+                    used = sum(rk[j] for rr, rk in fl if rr == r)
+                    if used > left:
+                        return False
+                    left -= used
+        return True
+
+    def dfs(idx, assign):
+        if cap is not None and len(patterns) >= cap:
+            raise ss.PatternCapExceeded(sorted(patterns))
+        if idx == len(choices):
+            if all(all(x == 0 for x in b) for b in budget.values()) and \
+                    page_feasible(assign):
+                patterns.append(tuple(sorted(
+                    ss.Differential(tgt[1] - src[1], src, tgt, ranks)
+                    for (src, tgt), ranks in assign.items() if any(ranks))))
+            return
+        src, tgt, tuples = choices[idx]
+        bs, bt = budget[src], budget[tgt]
+        for ranks in tuples:
+            if any(r > bs[j] or r > bt[j] for j, r in enumerate(ranks)):
+                continue
+            for j, r in enumerate(ranks):
+                bs[j] -= r
+                bt[j] -= r
+            if any(ranks):
+                assign[(src, tgt)] = ranks
+            if last_pair_of_source.get(src) != idx or \
+                    all(x == 0 for x in budget[src]):
+                dfs(idx + 1, assign)
+            assign.pop((src, tgt), None)
+            for j, r in enumerate(ranks):
+                bs[j] += r
+                bt[j] += r
+
+    dfs(0, {})
+    return sorted(patterns)
+
+
+PATTERN_COUNTS = {9: 2, 10: 6, 11: 80, 12: 386}
+
+
+@pytest.mark.parametrize("group,n", [("K", n) for n in range(13)] +
+                         [("C2", n) for n in range(11)])
+def test_solver_matches_reference(group, n):
+    chart = ss.build_E1(n, group)
+    patterns = ss.solve_differentials(chart)
+    assert patterns == _reference_solve(chart)
+    if group == "K" and n in PATTERN_COUNTS:
+        assert len(patterns) == PATTERN_COUNTS[n]
+    for diffs in patterns:
+        assert ss.check_convergence(chart, diffs)["pass"], diffs
+
+
+@pytest.mark.parametrize("n", [13, 14, 16])
+def test_solver_capped_prefix_matches_reference(n):
+    chart = ss.build_E1(n)
+    found = []
+    for solve in (ss.solve_differentials, _reference_solve):
+        with pytest.raises(ss.PatternCapExceeded) as exc:
+            solve(chart, cap=50)
+        found.append(exc.value.patterns)
+    assert found[0] == found[1] and len(found[0]) == 50
+    for diffs in found[0]:
+        assert ss.check_convergence(chart, diffs)["pass"], diffs
+
+
 def test_convergence_pass_and_fail():
     chart = ss.build_E1(5)
     assert ss.check_convergence(chart, ss.canned_differentials(5))["pass"]
