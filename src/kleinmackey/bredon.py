@@ -5,8 +5,10 @@ complex.  Cells are orbits (one subgroup stabilizer each); differentials are
 stored coefficient-free as "up" maps (a projection of orbits composed with a
 translation) or "down" maps (the formal transpose, appearing in dualized
 complexes).  Evaluating at a subgroup level J with a coefficient functor m
-turns each cell into one copy of m(stab & J) per double coset and each up/down
-entry into a transfer/restriction block of m; homology of those levelwise
+turns each cell into one copy of m(stab & J) per double coset.  Each entry,
+and with trans = 0 each level res/tr chain map, puts one block of m at the
+larger-stabilizer end's coset of r*trans for each coset r of the smaller end:
+the transfer up, or the restriction back.  Homology of those levelwise
 complexes, with the induced restriction and transfer maps obtained by lifting
 cycles, is the graded homotopy Mackey functor.
 
@@ -40,7 +42,10 @@ class MackeyComplex:
     cells: {degree: [Cell, ...]}
     entries: {degree: {(src_idx, tgt_idx, kind, trans)}} mapping degree to
     degree-1; kind is "up" (stabilizer grows along x -> x*trans) or "down"
-    (formal transpose of the up map with the same translation).
+    (formal transpose of the up map with the same translation).  Either way
+    it joins a smaller-stabilizer end (an up entry's source, a down entry's
+    target) to a larger one, only trans modulo the larger stabilizer matters,
+    and with coefficients it is the transfer between them or the restriction.
     """
 
     def __init__(self, group, cells, entries):
@@ -111,17 +116,20 @@ def dualize(c):
     return MackeyComplex(c.group, cells, entries)
 
 
-def _normalize_trans(gd, kind, src_stab, tgt_stab, trans):
-    mod = tgt_stab if kind == "up" else src_stab
-    return gd.coset_rep(trans, mod)
+def _ends(c, n, src, tgt, kind):
+    """An entry's smaller- and larger-stabilizer cells as (degree, index),
+    then their stabilizers."""
+    small, big = ((n, src), (n - 1, tgt)) if kind == "up" else ((n - 1, tgt), (n, src))
+    return small, big, c.cells[small[0]][small[1]].stab, c.cells[big[0]][big[1]].stab
 
 
 def smash(c1, c2):
     """Tensor of cell complexes, expanding orbit products into orbits.
 
-    A product cell is tagged by the twist coset separating its two factors;
-    the Leibniz rule routes each factor entry through that twist, and pairs
-    of identical routed entries cancel mod 2.
+    A product cell is tagged by the twist coset separating its two factors.
+    The Leibniz rule sends each factor entry, from every product cell over
+    its smaller-stabilizer end, to the product cell over its other end that
+    holds the image point; pairs of identical routed entries cancel mod 2.
     """
     if c1.group != c2.group:
         raise ValueError("group mismatch in smash")
@@ -152,70 +160,52 @@ def smash(c1, c2):
                 return tw, v
         raise AssertionError("orbit location failed")
 
-    entry_parity = {}
+    entries = {}
 
-    def toggle(deg, src, tgt, kind, trans):
-        key = (src, tgt, kind, _normalize_trans(
-            gd, kind, cells[deg][src].stab, cells[deg - 1][tgt].stab, trans))
-        bucket = entry_parity.setdefault(deg, {})
-        bucket[key] = bucket.get(key, 0) ^ 1
+    def toggle(kind, small, big, v):
+        """Flip the entry between the product cells keyed small and big, filed
+        under its source's (the higher) degree; its translation is taken
+        modulo the larger stabilizer."""
+        (ds, s), (db, b) = index[small], index[big]
+        v = gd.coset_rep(v, cells[db][b].stab)
+        bucket = entries.setdefault(max(ds, db), set())
+        bucket ^= {(s, b, kind, v) if kind == "up" else (b, s, kind, v)}
 
-    for (n1, i1, n2, i2, tw), (deg, idx) in index.items():
-        stab1 = c1.cells[n1][i1].stab
-        stab2 = c2.cells[n2][i2].stab
-        # canonical point of this product cell: (e * stab1, tw * stab2)
-        for src1, tgt1, kind, u in c1.entries.get(n1, ()):
-            if src1 != i1:
-                continue
-            tstab = c1.cells[n1 - 1][tgt1].stab
-            if kind == "up":
-                # image point (u * tstab, tw * stab2)
-                tw2, v = locate(tstab, stab2, u, tw)
-                _, jdx = index[(n1 - 1, tgt1, n2, i2, tw2)]
-                toggle(deg, idx, jdx, "up", v)
-            else:
-                # transpose the up maps of every (tgt1, i2, s)-cell into us
-                for s in gd.cosets(gd.join(tstab, stab2)):
-                    tw2, v = locate(stab1, stab2, u, s)
-                    if tw2 == tw:
-                        _, jdx = index[(n1 - 1, tgt1, n2, i2, s)]
-                        toggle(deg, idx, jdx, "down", v)
-        for src2, tgt2, kind, u in c2.entries.get(n2, ()):
-            if src2 != i2:
-                continue
-            tstab = c2.cells[n2 - 1][tgt2].stab
-            if kind == "up":
-                # image point (e * stab1, (tw ^ u) * tstab)
-                tw2, v = locate(stab1, tstab, 0, tw ^ u)
-                _, jdx = index[(n1, i1, n2 - 1, tgt2, tw2)]
-                toggle(deg, idx, jdx, "up", v)
-            else:
-                for s in gd.cosets(gd.join(stab1, tstab)):
-                    tw2, v = locate(stab1, stab2, 0, s ^ u)
-                    if tw2 == tw:
-                        _, jdx = index[(n1, i1, n2 - 1, tgt2, s)]
-                        toggle(deg, idx, jdx, "down", v)
+    for n1, es in c1.entries.items():
+        for src1, tgt1, kind, u in es:
+            small, big, stab_s, stab_b = _ends(c1, n1, src1, tgt1, kind)
+            for n2 in c2.degrees():
+                for i2, cell2 in enumerate(c2.cells[n2]):
+                    for s in gd.cosets(gd.join(stab_s, cell2.stab)):
+                        # (e * stab_s, s * stab2) maps to (u * stab_b, s * stab2)
+                        tw, v = locate(stab_b, cell2.stab, u, s)
+                        toggle(kind, (*small, n2, i2, s), (*big, n2, i2, tw), v)
+    for n2, es in c2.entries.items():
+        for src2, tgt2, kind, u in es:
+            small, big, stab_s, stab_b = _ends(c2, n2, src2, tgt2, kind)
+            for n1 in c1.degrees():
+                for i1, cell1 in enumerate(c1.cells[n1]):
+                    for s in gd.cosets(gd.join(cell1.stab, stab_s)):
+                        # (e * stab1, s * stab_s) maps to (e * stab1, s * u * stab_b)
+                        tw, v = locate(cell1.stab, stab_b, 0, s ^ u)
+                        toggle(kind, (n1, i1, *small, s), (n1, i1, *big, tw), v)
 
-    entries = {deg: {k for k, parity in bucket.items() if parity}
-               for deg, bucket in entry_parity.items()}
     return MackeyComplex(c1.group, cells, entries)
 
 
 def sphere_complex(v, group=None):
     """Cell complex of the virtual-representation sphere S^V."""
     if isinstance(v, RepK):
-        group = group or "K"
-        out = trivial_suspension(v.a, group)
-        for char, n in (("alpha", v.b), ("beta", v.c), ("gamma", v.d)):
-            if n:
-                out = smash(out, character_sphere(char, n, group))
-        return out
-    if isinstance(v, RepC2):
-        out = trivial_suspension(v.a, "C2")
-        if v.b:
-            out = smash(out, character_sphere("sigma", v.b, "C2"))
-        return out
-    raise TypeError(f"not a representation: {v!r}")
+        group, powers = group or "K", (("alpha", v.b), ("beta", v.c), ("gamma", v.d))
+    elif isinstance(v, RepC2):
+        group, powers = "C2", (("sigma", v.b),)
+    else:
+        raise TypeError(f"not a representation: {v!r}")
+    out = trivial_suspension(v.a, group)
+    for char, n in powers:
+        if n:
+            out = smash(out, character_sphere(char, n, group))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +217,9 @@ class _Slot(NamedTuple):
 
     off: int        # first basis index of the cell's blocks
     reps: tuple     # coset reps of the orbit at this level, in block order
-    index: dict     # coset rep -> position in reps
+    pos: tuple      # element g -> position of its coset in reps
     bdim: int       # coefficient dimension of one block
     meet: str       # stab & level
-    join: str       # stab * level
 
 
 class LevelComplexes:
@@ -246,7 +235,8 @@ class LevelComplexes:
         # per level, per degree: one _Slot per cell
         self.layout = {}
         self.dims = {}
-        # composite res/tr coefficient blocks by (transfer, upper, lower)
+        # composite transfer m(lower) -> m(upper), or the restriction back,
+        # by (transfer, upper, lower)
         self._blocks = {}
         for lv in self.levels:
             self.layout[lv] = {}
@@ -259,8 +249,7 @@ class LevelComplexes:
                     meet = gd.meet(lv, cell.stab)
                     reps = gd.cosets(join)
                     bdim = coeff.dim(meet)
-                    per_cell.append(_Slot(off, reps, {r: i for i, r in enumerate(reps)},
-                                          bdim, meet, join))
+                    per_cell.append(_Slot(off, reps, gd.coset_index(join), bdim, meet))
                     off += len(reps) * bdim
                 self.layout[lv][n] = per_cell
                 self.dims[lv][n] = off
@@ -268,71 +257,50 @@ class LevelComplexes:
     def dim(self, lv, n):
         return self.dims[lv].get(n, 0)
 
-    def _block(self, transfer, upper, lower):
-        """Composite transfer m(lower) -> m(upper), or restriction back."""
-        key = (transfer, upper, lower)
-        block = self._blocks.get(key)
-        if block is None:
-            block = (self.coeff.tr_map(lower, upper) if transfer
-                     else self.coeff.res_map(upper, lower))
-            self._blocks[key] = block
-        return block
+    def _assemble(self, rows, cols, placements):
+        """Matrix built from (small, big, trans, transfer) slot placements.
+
+        Each puts one block per coset r of the smaller-stabilizer slot at the
+        larger slot's coset of r*trans: the transfer m(small) -> m(big), or
+        the restriction back at the transposed position.
+        """
+        data = [0] * rows
+        for small, big, trans, transfer in placements:
+            key = (transfer, big.meet, small.meet)
+            block = self._blocks.get(key)
+            if block is None:
+                block = (self.coeff.tr_map(small.meet, big.meet) if transfer
+                         else self.coeff.res_map(big.meet, small.meet))
+                self._blocks[key] = block
+            for i, rep in enumerate(small.reps):
+                s_pos = small.off + i * small.bdim
+                b_pos = big.off + big.pos[rep ^ trans] * big.bdim
+                if transfer:
+                    _xor_block(data, block, b_pos, s_pos)
+                else:
+                    _xor_block(data, block, s_pos, b_pos)
+        return BitMatrix(rows, cols, tuple(data))
 
     def differential(self, lv, n):
         """Matrix of d: C_n(lv) -> C_{n-1}(lv)."""
-        gd = self.cx.gd
-        src_layout = self.layout[lv].get(n, [])
-        tgt_layout = self.layout[lv].get(n - 1, [])
-        rows = self.dim(lv, n - 1)
-        cols = self.dim(lv, n)
-        data = [0] * rows
-        for src, tgt, kind, trans in self.cx.entries.get(n, ()):
-            s = src_layout[src]
-            t = tgt_layout[tgt]
-            if kind == "up":
-                block = self._block(True, t.meet, s.meet)
-                for ci, crep in enumerate(s.reps):
-                    ti = t.index[gd.coset_rep(crep ^ trans, t.join)]
-                    _xor_block(data, block,
-                               t.off + ti * t.bdim, s.off + ci * s.bdim)
-            else:
-                block = self._block(False, s.meet, t.meet)
-                for ti, trep in enumerate(t.reps):
-                    ci = s.index[gd.coset_rep(trep ^ trans, s.join)]
-                    _xor_block(data, block,
-                               t.off + ti * t.bdim, s.off + ci * s.bdim)
-        return BitMatrix(rows, cols, tuple(data))
+        srcs = self.layout[lv].get(n, [])
+        tgts = self.layout[lv].get(n - 1, [])
+        return self._assemble(self.dim(lv, n - 1), self.dim(lv, n), [
+            (srcs[src], tgts[tgt], trans, True) if kind == "up"
+            else (tgts[tgt], srcs[src], trans, False)
+            for src, tgt, kind, trans in self.cx.entries.get(n, ())])
 
     def chain_res(self, upper, lower, n):
         """Restriction chain map C_n(upper) -> C_n(lower)."""
-        return self._chain_map(upper, lower, n, transfer=False)
+        pairs = zip(self.layout[lower].get(n, ()), self.layout[upper].get(n, ()))
+        return self._assemble(self.dim(lower, n), self.dim(upper, n),
+                              [(lo, u, 0, False) for lo, u in pairs])
 
     def chain_tr(self, lower, upper, n):
         """Transfer chain map C_n(lower) -> C_n(upper)."""
-        return self._chain_map(upper, lower, n, transfer=True)
-
-    def _chain_map(self, upper, lower, n, transfer):
-        """Restriction C_n(upper) -> C_n(lower), or the transfer back.
-
-        Both put one coefficient block per lower-level coset of each cell's
-        orbit, at the upper-level coset containing it; the transfer's blocks
-        sit at the transposed positions.
-        """
-        gd = self.cx.gd
-        rows, cols = self.dim(lower, n), self.dim(upper, n)
-        if transfer:
-            rows, cols = cols, rows
-        data = [0] * rows
-        for u, lo in zip(self.layout[upper].get(n, ()), self.layout[lower].get(n, ())):
-            block = self._block(transfer, u.meet, lo.meet)
-            for li, lrep in enumerate(lo.reps):
-                ui = u.index[gd.coset_rep(lrep, u.join)]
-                l_pos, u_pos = lo.off + li * lo.bdim, u.off + ui * u.bdim
-                if transfer:
-                    _xor_block(data, block, u_pos, l_pos)
-                else:
-                    _xor_block(data, block, l_pos, u_pos)
-        return BitMatrix(rows, cols, tuple(data))
+        pairs = zip(self.layout[lower].get(n, ()), self.layout[upper].get(n, ()))
+        return self._assemble(self.dim(upper, n), self.dim(lower, n),
+                              [(lo, u, 0, True) for lo, u in pairs])
 
 
 def _xor_block(data, block, row_off, col_off):

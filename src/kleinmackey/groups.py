@@ -28,12 +28,15 @@ class GroupData:
         subs = self.subgroups
         name_of = {elems: name for name, elems in subs.items()}
         rep = {(g, h): min(g ^ s for s in subs[h]) for g in self.elements for h in subs}
+        cosets = {h: tuple(sorted({rep[(g, h)] for g in self.elements})) for h in subs}
         tables = {
             "_meet": {(a, b): name_of[subs[a] & subs[b]] for a in subs for b in subs},
             "_join": {(a, b): name_of[frozenset(x ^ y for x in subs[a] for y in subs[b])]
                       for a in subs for b in subs},
             "_coset_rep": rep,
-            "_cosets": {h: tuple(sorted({rep[(g, h)] for g in self.elements})) for h in subs},
+            "_cosets": cosets,
+            "_coset_index": {h: tuple(cosets[h].index(rep[(g, h)]) for g in self.elements)
+                             for h in subs},
             "level_index": {lv: i for i, lv in enumerate(self.levels)},
             "edge_index": {edge: i for i, edge in enumerate(self.edges)},
         }
@@ -57,6 +60,10 @@ class GroupData:
 
     def cosets(self, h):
         return self._cosets[h]
+
+    def coset_index(self, h):
+        """Tuple whose entry g (elements are 0..|G|-1) is the position of g*H in cosets(h)."""
+        return self._coset_index[h]
 
     def subgroup_chain(self, a, b):
         """Levels from a down to b (inclusive) along lattice edges; needs b <= a."""

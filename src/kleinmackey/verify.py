@@ -76,6 +76,8 @@ def suite_axioms(mackey_json=None, random_count=1000):
 
 def _box(box, a_box):
     """Representations with |a| <= a_box and |b|, |c|, |d| <= box."""
+    if min(box, a_box) < 0:
+        raise ValueError(f"box half-width must be nonnegative, got {min(box, a_box)}")
     rng = range(-box, box + 1)
     return itertools.product(range(-a_box, a_box + 1), rng, rng, rng)
 

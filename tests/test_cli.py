@@ -87,6 +87,11 @@ def test_usage_errors(tmp_path, capsys):
             assert run(argv) == (2, ""), (doc, argv)
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+    # a negative box is bad input, not an empty sweep that passes
+    for suite in ("duality", "hk-oracle"):
+        assert run(["verify", "--suite", suite, "--box", "-1"]) == (2, ""), suite
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_chart_svg_out(tmp_path):

@@ -80,6 +80,108 @@ def test_smash_of_elementaries_matches_minimal_model():
             assert fingerprint(via_elem[n]) == fingerprint(via_min[n]), (b, c, d, n)
 
 
+def _reference_smash(c1, c2):
+    """An independent smash product that pins br.smash's cells and entries:
+    it walks the product cells and, for a down entry, searches the cosets of
+    the cell below for those whose up map lands on it."""
+    gd = c1.gd
+    sub = gd.subgroups
+
+    cells = {}
+    index = {}  # (deg1, i1, deg2, i2, twist) -> (degree, new index)
+    for n1 in c1.degrees():
+        for i1, cell1 in enumerate(c1.cells[n1]):
+            for n2 in c2.degrees():
+                for i2, cell2 in enumerate(c2.cells[n2]):
+                    join = gd.join(cell1.stab, cell2.stab)
+                    meet = gd.meet(cell1.stab, cell2.stab)
+                    deg = n1 + n2
+                    for tw in gd.cosets(join):
+                        lst = cells.setdefault(deg, [])
+                        index[(n1, i1, n2, i2, tw)] = (deg, len(lst))
+                        lst.append(br.Cell(deg, meet))
+
+    def locate(stab1, stab2, p1, p2):
+        tw = gd.coset_rep(p1 ^ p2, gd.join(stab1, stab2))
+        for h1 in sub[stab1]:
+            v = p1 ^ h1
+            if (v ^ p2 ^ tw) in sub[stab2]:
+                return tw, v
+        raise AssertionError("orbit location failed")
+
+    entry_parity = {}
+
+    def toggle(deg, src, tgt, kind, trans):
+        src_stab, tgt_stab = cells[deg][src].stab, cells[deg - 1][tgt].stab
+        mod = tgt_stab if kind == "up" else src_stab
+        key = (src, tgt, kind, gd.coset_rep(trans, mod))
+        bucket = entry_parity.setdefault(deg, {})
+        bucket[key] = bucket.get(key, 0) ^ 1
+
+    for (n1, i1, n2, i2, tw), (deg, idx) in index.items():
+        stab1 = c1.cells[n1][i1].stab
+        stab2 = c2.cells[n2][i2].stab
+        for src1, tgt1, kind, u in c1.entries.get(n1, ()):
+            if src1 != i1:
+                continue
+            tstab = c1.cells[n1 - 1][tgt1].stab
+            if kind == "up":
+                tw2, v = locate(tstab, stab2, u, tw)
+                _, jdx = index[(n1 - 1, tgt1, n2, i2, tw2)]
+                toggle(deg, idx, jdx, "up", v)
+            else:
+                for s in gd.cosets(gd.join(tstab, stab2)):
+                    tw2, v = locate(stab1, stab2, u, s)
+                    if tw2 == tw:
+                        _, jdx = index[(n1 - 1, tgt1, n2, i2, s)]
+                        toggle(deg, idx, jdx, "down", v)
+        for src2, tgt2, kind, u in c2.entries.get(n2, ()):
+            if src2 != i2:
+                continue
+            tstab = c2.cells[n2 - 1][tgt2].stab
+            if kind == "up":
+                tw2, v = locate(stab1, tstab, 0, tw ^ u)
+                _, jdx = index[(n1, i1, n2 - 1, tgt2, tw2)]
+                toggle(deg, idx, jdx, "up", v)
+            else:
+                for s in gd.cosets(gd.join(stab1, tstab)):
+                    tw2, v = locate(stab1, stab2, 0, s ^ u)
+                    if tw2 == tw:
+                        _, jdx = index[(n1, i1, n2 - 1, tgt2, s)]
+                        toggle(deg, idx, jdx, "down", v)
+
+    entries = {deg: {k for k, parity in bucket.items() if parity}
+               for deg, bucket in entry_parity.items()}
+    return br.MackeyComplex(c1.group, cells, entries)
+
+
+def _assert_same_smash(c1, c2, label):
+    got, want = br.smash(c1, c2), _reference_smash(c1, c2)
+    assert got.cells == want.cells, label
+    assert got.entries == want.entries, label
+    return got
+
+
+def test_smash_matches_reference():
+    # the factor smashes of sphere_complex, one character at a time
+    for b, c, d in itertools.product(range(-3, 4), repeat=3):
+        cx = br.trivial_suspension(0)
+        for char, n in (("alpha", b), ("beta", c), ("gamma", d)):
+            cx = _assert_same_smash(cx, br.character_sphere(char, n), (b, c, d, char))
+    # nested smashes put many cells and both entry kinds in either factor
+    for (ca, cb), i, j in itertools.product((("alpha", "beta"), ("gamma", "gamma")),
+                                            range(-4, 5), range(-4, 5)):
+        a, b = br.character_sphere(ca, i), br.character_sphere(cb, j)
+        ab = _assert_same_smash(a, b, (ca, cb, i, j))
+        _assert_same_smash(ab, b, (ca, cb, i, j, "left"))
+        _assert_same_smash(a, ab, (ca, cb, i, j, "right"))
+    # C2: sigma spheres, alone and smashed together
+    for i, j in itertools.product(range(-4, 5), repeat=2):
+        a = br.character_sphere("sigma", i, "C2")
+        b = _assert_same_smash(br.trivial_suspension(0, "C2"), a, (i, "C2"))
+        _assert_same_smash(b, br.character_sphere("sigma", j, "C2"), (i, j, "C2"))
+
+
 def test_dualize_involution_and_duality():
     c = br.elementary_complex("alpha")
     dd = br.dualize(br.dualize(c))
@@ -109,39 +211,50 @@ def test_sphere_complex_examples():
     assert d.cells == dual_e.cells and d.entries == dual_e.entries
 
 
-def _check_d_squared_zero_and_chain_maps(coeff, box):
-    """d^2 = 0 at every level, and res/tr commute with d, on S^(0,b,c,d)."""
-    gd = br.sphere_complex(RHO_K).gd
-    for b, c, d in itertools.product(box, repeat=3):
-        cx = br.sphere_complex(RepK(0, b, c, d))
+def _check_d_squared_zero_and_chain_maps(group, coeff, box):
+    """d^2 = 0 at every level, and res/tr commute with d, on S^(0,b,c,d)
+    over K or S^(b sigma) over C2, with b, c, d in box."""
+    if group == "K":
+        spheres = [RepK(0, b, c, d) for b, c, d in itertools.product(box, repeat=3)]
+    else:
+        spheres = [RepC2(0, b) for b in box]
+    for v in spheres:
+        cx = br.sphere_complex(v)
+        gd = cx.gd
         lv = br.with_coefficients(cx, coeff)
         degs = cx.degrees()
         for level in gd.levels:
             for n in degs:
                 dn = lv.differential(level, n)
                 dn1 = lv.differential(level, n + 1)
-                assert (dn @ dn1).is_zero(), (coeff, b, c, d, level, n)
+                assert (dn @ dn1).is_zero(), (coeff, v, level, n)
         for upper, lower in gd.edges:
             for n in degs:
                 dn_u = lv.differential(upper, n)
                 dn_l = lv.differential(lower, n)
                 res_n = lv.chain_res(upper, lower, n)
                 res_n1 = lv.chain_res(upper, lower, n - 1)
-                assert res_n1 @ dn_u == dn_l @ res_n, (coeff, b, c, d, upper, lower, n)
+                assert res_n1 @ dn_u == dn_l @ res_n, (coeff, v, upper, lower, n)
                 tr_n = lv.chain_tr(lower, upper, n)
                 tr_n1 = lv.chain_tr(lower, upper, n - 1)
-                assert tr_n1 @ dn_l == dn_u @ tr_n, (coeff, b, c, d, upper, lower, n)
+                assert tr_n1 @ dn_l == dn_u @ tr_n, (coeff, v, upper, lower, n)
 
 
 def test_d_squared_zero_and_mackey_chain_maps():
-    _check_d_squared_zero_and_chain_maps("F", (-3, -2, -1, 0, 1, 2, 3))
+    _check_d_squared_zero_and_chain_maps("K", "F", (-3, -2, -1, 0, 1, 2, 3))
 
 
 def test_d_squared_zero_and_chain_maps_with_nonzero_transfers():
     # F has only zero transfers; these coefficients have restrictions and
     # transfers that differ, so the cached res/tr blocks must not mix
     for coeff in ("W", "mg*", "m"):
-        _check_d_squared_zero_and_chain_maps(coeff, (-2, -1, 0, 1, 2))
+        _check_d_squared_zero_and_chain_maps("K", coeff, (-2, -1, 0, 1, 2))
+
+
+def test_d_squared_zero_and_chain_maps_over_c2():
+    # C2's F* has a nonzero transfer
+    for coeff in ("F", "F*"):
+        _check_d_squared_zero_and_chain_maps("C2", coeff, range(-4, 5))
 
 
 def test_euler_characteristic():
