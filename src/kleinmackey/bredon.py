@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .f2 import BitMatrix, homology_reps
 from .groups import char_twist, group_by_name
 from .laurent import LaurentPoly
-from .mackey import Mackey, catalog, catalog_c2, parse_name_expr, expr_to_mackey
+from .mackey import Mackey, expr_to_mackey, parse_name_expr
 from .reps import RepC2, RepK
 
 
@@ -309,9 +309,9 @@ def _xor_block(data, block, row_off, col_off):
 
 
 def with_coefficients(cx, coeff):
-    """Evaluate the complex with a coefficient functor (name or Mackey)."""
+    """Evaluate the complex with a coefficient functor (name expression or Mackey)."""
     if isinstance(coeff, str):
-        coeff = catalog(coeff) if cx.group == "K" else catalog_c2(coeff)
+        coeff = expr_to_mackey(parse_name_expr(coeff, cx.group), cx.group)
     return LevelComplexes(cx, coeff)
 
 
@@ -366,19 +366,9 @@ def _induced(chain_map, src_reps, tgt_proj, tgt_dim):
     return BitMatrix(len(src_reps), tgt_dim, cols).transpose()
 
 
-def _coeff_of(name, group):
-    if isinstance(name, Mackey):
-        return name
-    if group == "K":
-        return expr_to_mackey(parse_name_expr(name))
-    return expr_to_mackey(parse_name_expr(name, "C2"), "C2")
-
-
 @lru_cache(maxsize=None)
-def _homotopy_cached(v, name, group):
-    cx = sphere_complex(v)
-    lv = with_coefficients(cx, _coeff_of(name, group))
-    return homology(lv)
+def _homotopy_cached(v, name):
+    return homology(with_coefficients(sphere_complex(v), name))
 
 
 def homotopy(v, coeff="F"):
@@ -386,18 +376,16 @@ def homotopy(v, coeff="F"):
 
     coeff may be a catalog name expression or an explicit functor.
     """
-    group = "K" if isinstance(v, RepK) else "C2"
     if isinstance(coeff, str):
-        return dict(_homotopy_cached(v, coeff, group))
+        return dict(_homotopy_cached(v, coeff))
     return homology(with_coefficients(sphere_complex(v), coeff))
 
 
 def homotopy_level_series(v, coeff="F", level=None):
     """Laurent series of graded dimensions at one level (fast path)."""
-    group = "K" if isinstance(v, RepK) else "C2"
-    level = level or ("K" if group == "K" else "C2")
     cx = sphere_complex(v)
-    lv = with_coefficients(cx, _coeff_of(coeff, group))
+    lv = with_coefficients(cx, coeff)
+    level = level or cx.gd.levels[0]
     idx = cx.gd.levels.index(level)
     table = homology(lv, levels=(level,))
     return LaurentPoly.from_dict({n: dims[idx] for n, dims in table.items()})

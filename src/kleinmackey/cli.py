@@ -12,7 +12,8 @@ import sys
 
 from . import bredon, hk, sschart, verify
 from . import slices as slc
-from .mackey import (catalog, catalog_c2, format_name_expr, identify,
+from .groups import group_by_name
+from .mackey import (catalog, catalog_c2, expr_dims, format_name_expr, identify,
                      mackey_from_json, parse_name_expr)
 from .reps import RepC2, RepK, parse_rep, parse_rep_c2
 
@@ -74,30 +75,29 @@ def cmd_homotopy(args, out):
         if group == "K" and (v.b, v.c, v.d) != (k, k, k):
             raise UsageError("closed engine needs a suspension of the form "
                              "a + k rho for named coefficients")
-        coeff = parse_name_expr(args.coeff, group)
-        table = (slc.graded_homotopy_K(a, k, coeff, allow_oracle=False)
-                 if group == "K" else slc.graded_homotopy_C2(a, k, coeff))
-        rows = [{"degree": d, "identified_name": format_name_expr(e)}
-                for d, e in sorted(table.items())]
+        table = slc.graded_homotopy(a, k, parse_name_expr(args.coeff, group), group)
+        found = [({"degree": d, "identified_name": format_name_expr(e)},
+                  expr_dims(e, group)) for d, e in sorted(table.items())]
     else:
-        table = bredon.homotopy(v, args.coeff)
-        rows = []
-        for d, m in sorted(table.items()):
+        found = []
+        for d, m in sorted(bredon.homotopy(v, args.coeff).items()):
             expr = identify(m)
-            row = {
+            found.append(({
                 "degree": d,
                 "mackey": m.to_json_dict(),
                 "identified_name":
                     format_name_expr(expr) if expr is not None else "unidentified",
-            }
-            if args.level != "all":
-                row["dim"] = m.dim(args.level)
-            rows.append(row)
+            }, m.dims))
+    rows = [row for row, _ in found]
+    if args.level != "all":
+        index = group_by_name(group).level_index[args.level]
+        for row, dims in found:
+            row["dim"] = dims[index]
     if args.format == "json":
         _emit(out, json.dumps(rows, indent=2, sort_keys=True))
     else:
         for row in rows:
-            if args.level != "all" and "dim" in row:
+            if "dim" in row:
                 _emit(out, f"pi_{row['degree']}({args.level}) = "
                            f"F2^{row['dim']}  [{row['identified_name']}]")
             else:

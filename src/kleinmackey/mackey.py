@@ -178,6 +178,8 @@ def direct_sum(ms, group=None):
     ms = list(ms)
     if not ms:
         return zero_mackey(group or "K")
+    if len(ms) == 1:
+        return ms[0]
     group = ms[0].group
     if any(x.group != group for x in ms):
         raise ValueError("cannot sum functors over different groups")
@@ -276,6 +278,18 @@ def _k_table():
 _K = _k_table()
 
 CATALOG_ATOMS = tuple(n for n in _K if n != "0")
+
+
+def _dual_names():
+    """The dual of every catalog atom of either group, by exact matrix equality."""
+    names = {}
+    for table in (_K, _C2):
+        atoms = {m: name for name, m in table.items() if name != "0"}
+        names.update((name, atoms[dual(m)]) for m, name in atoms.items())
+    return names
+
+
+DUAL_NAMES = _dual_names()
 
 
 def catalog(name):

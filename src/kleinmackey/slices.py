@@ -4,6 +4,17 @@ Everything here is closed-form: the slice cells of the n-fold suspension
 over C2 and over the Klein group, their graded homotopy, the printed towers
 through n = 10 (with the exotic cofiber node), and the cyclic-subgroup
 restriction consistency check.
+
+The homotopy of S^{a + k rho} ∧ HM is tabulated per atom M for k >= 0
+only (one rho untwists F*, m* and mg* to shifted F or f, mg and m); three
+exact rules give the rest:
+
+* k < 0 is the dual of the mirrored table: pi_n(S^V ∧ HM) is the dual of
+  pi_{-n}(S^{-V} ∧ HM*), so degrees are negated and names dualized;
+* an inflated Klein atom phi*_h X has the C2 table of X, with F, F* and f
+  renamed phi_h(.);
+* shared shapes: k = 0 and the geometric atom g give one term, in degree
+  a + k, and f shares the formula of F, shifted by one step.
 """
 
 from __future__ import annotations
@@ -13,8 +24,8 @@ from functools import lru_cache
 
 from . import bredon
 from .groups import KLEIN
-from .mackey import (catalog, display_terms, format_name_expr, identify,
-                     parse_name_expr, restrict_to)
+from .mackey import (DUAL_NAMES, catalog, display_terms, format_name_expr,
+                     identify, parse_name_expr, restrict_to)
 from .reps import RepC2, RepK, restrict_rep
 
 
@@ -177,95 +188,64 @@ def _merge(table, degree, names):
     table[degree] = tuple(sorted(cur.items()))
 
 
-def _expr(text):
-    return parse_name_expr(text)
+def _g(mult):
+    return (("g", mult),) if mult else ()
 
 
-def _atom_homotopy_K(a, k, atom):
+_PHI_LDR_F = parse_name_expr("phiLDR(F)")
+
+# one rho untwists an atom: (group, atom) -> (suspension shift, atom)
+_UNTWIST = {("K", "F*"): (4, "F"), ("K", "m*"): (2, "mg"), ("K", "mg*"): (2, "m"),
+            ("C2", "F*"): (2, "f")}
+
+
+def _relabel(table, rename, sign=1):
+    return {sign * d: tuple(sorted((rename(atom), mult) for atom, mult in expr))
+            for d, expr in table.items()}
+
+
+def _atom_homotopy(group, a, k, atom):
     """Closed-form homotopy of the (a + k rho)-suspension of one atom, or None."""
+    if k < 0:
+        # pi_n(S^V ∧ HM) is the dual of pi_{-n}(S^{-V} ∧ HM*)
+        table = _atom_homotopy(group, -a, -k, DUAL_NAMES[atom])
+        return None if table is None else _relabel(table, DUAL_NAMES.__getitem__, -1)
+    if k == 0 or atom == "g":
+        return {a + k: ((atom, 1),)}
+    if (group, atom) in _UNTWIST:
+        shift, base = _UNTWIST[group, atom]
+        return _atom_homotopy(group, a + shift, k - 1, base)
+    if atom.startswith("phi"):
+        # an inflated atom has the C2 homotopy of its C2 functor, inflated
+        h, inner = atom[3], atom[5:-1]
+        return _relabel(_atom_homotopy("C2", a, k, inner),
+                        lambda x: x if x == "g" else f"phi{h}({x})")
     out = {}
-    if k == 0:
-        if atom == "g":
-            _merge(out, a, _expr("g"))
-        else:
-            _merge(out, a, ((atom, 1),))
-        return out
-    if atom == "g":
-        _merge(out, a + k, _expr("g"))
-        return out
-    if atom == "F":
-        if k < 0:
-            # trade one rho for a 4-fold desuspension of the dual functor
-            return _atom_homotopy_K(a - 4, k + 1, "F*")
-        _merge(out, 4 * k + a, _expr("F"))
-        _merge(out, 4 * k - 1 + a, _expr("mg"))
-        for i in range(2 * k, 4 * k - 1):
-            extra = 4 * k - 2 - i
-            _merge(out, i + a, _expr("phiLDR(F)" + (f" + g^{extra}" if extra else "")))
-        for i in range(k, 2 * k):
-            _merge(out, i + a, _expr(f"g^{2 * (i - k) + 1}"))
-        return out
-    if atom == "F*":
-        if k < 0:
-            kk = -k
-            _merge(out, -4 * kk + a, _expr("F*"))
-            _merge(out, -(4 * kk - 1) + a, _expr("mg*"))
-            for i in range(2 * kk, 4 * kk - 1):
-                extra = 4 * kk - 2 - i
-                _merge(out, -i + a,
-                       _expr("phiLDR(F*)" + (f" + g^{extra}" if extra else "")))
-            for i in range(kk, 2 * kk):
-                _merge(out, -i + a, _expr(f"g^{2 * (i - kk) + 1}"))
+    if atom in ("F", "f"):
+        s = int(atom == "f")       # f starts each range one step higher
+        if group == "C2":
+            _merge(out, 2 * k + a, (("F", 1),))
+            for i in range(k + s, 2 * k):
+                _merge(out, i + a, _g(1))
             return out
-        # one rho untwists to a plain 4-fold suspension of the constant functor
-        return _atom_homotopy_K(a + 4, k - 1, "F")
-    if atom == "f":
-        _merge(out, 4 * k + a, _expr("F"))
-        _merge(out, 4 * k - 1 + a, _expr("mg"))
-        for i in range(2 * k + 1, 4 * k - 1):
-            extra = 4 * k - 2 - i
-            _merge(out, i + a, _expr("phiLDR(F)" + (f" + g^{extra}" if extra else "")))
-        for i in range(k + 2, 2 * k + 1):
-            mult = 2 * (i - k - 1)
-            if mult:
-                _merge(out, i + a, _expr(f"g^{mult}"))
+        _merge(out, 4 * k + a, (("F", 1),))
+        _merge(out, 4 * k - 1 + a, (("mg", 1),))
+        for i in range(2 * k + s, 4 * k - 1):
+            _merge(out, i + a, _PHI_LDR_F + _g(4 * k - 2 - i))
+        for i in range(k + s, 2 * k + s):
+            _merge(out, i + a, _g(2 * (i - k) + 1 - 3 * s))
         return out
     if atom in ("m", "mg"):
-        _merge(out, 2 * k + a, _expr("phiLDR(F)"))
+        _merge(out, 2 * k + a, _PHI_LDR_F)
         for i in range(k + 1, 2 * k):
-            _merge(out, i + a, _expr("g^3"))
-        _merge(out, k + a, _expr("g" if atom == "m" else "g^2"))
+            _merge(out, i + a, _g(3))
+        _merge(out, k + a, _g(1 if atom == "m" else 2))
         return out
-    if atom == "mg*":
-        # one rho trades the dual for a double suspension of m
-        return _atom_homotopy_K(a + 2, k - 1, "m")
-    if atom == "m*":
-        return _atom_homotopy_K(a + 2, k - 1, "mg")
-    if atom.startswith("phi"):
-        h, inner = atom[3], atom[5:-1]
-        if inner == "F":
-            _merge(out, 2 * k + a, ((atom, 1),))
-            for i in range(k, 2 * k):
-                _merge(out, i + a, _expr("g"))
-            return out
-        if inner == "f":
-            _merge(out, 2 * k + a, ((f"phi{h}(F)", 1),))
-            for i in range(k + 1, 2 * k):
-                _merge(out, i + a, _expr("g"))
-            return out
-        if inner == "F*":
-            if k == 1:
-                _merge(out, a + 2, ((f"phi{h}(f)", 1),))
-                return out
-            _merge(out, 2 * k + a, ((f"phi{h}(F)", 1),))
-            for i in range(k + 2, 2 * k):
-                _merge(out, i + a, _expr("g"))
-            return out
     return None
 
 
-def graded_homotopy_K(a, k, coeff, allow_oracle=False):
-    """Homotopy names of the (a + k rho)-suspension of H(coeff) over K.
+def graded_homotopy(a, k, coeff, group="K", allow_oracle=False):
+    """Homotopy names of the (a + k rho)-suspension of H(coeff) over a group.
 
     Homotopy is additive over coefficient sums, so each atom is dispatched
     to its closed form; atoms without one (the w and W family) go through
@@ -273,23 +253,23 @@ def graded_homotopy_K(a, k, coeff, allow_oracle=False):
     """
     out = {}
     for atom, mult in coeff:
-        table = _atom_homotopy_K(a, k, atom)
+        table = _atom_homotopy(group, a, k, atom)
         if table is None:
             if not allow_oracle:
                 raise ValueError(f"no closed form for coefficient {atom!r}")
-            table = oracle_homotopy(RepK(a + k, k, k, k), ((atom, 1),))
-        for _ in range(mult):
-            for deg, names in table.items():
-                _merge(out, deg, names)
+            v = RepK(a + k, k, k, k) if group == "K" else RepC2(a + k, k)
+            table = oracle_homotopy(v, ((atom, 1),))
+        for deg, names in table.items():
+            _merge(out, deg, tuple((name, mult * m) for name, m in names))
     return out
 
 
 def oracle_homotopy(v, coeff):
-    """Homotopy names of the v-suspension of H(coeff) over K from the oracle.
+    """Homotopy names of the v-suspension of H(coeff) from the oracle.
 
-    The one place where oracle output becomes catalog names: degrees with
-    zero homotopy are left out, and a functor that is not a catalog sum
-    raises ValueError.
+    v is a Klein or a C2 representation.  The one place where oracle output
+    becomes catalog names: degrees with zero homotopy are left out, and a
+    functor that is not a catalog sum raises ValueError.
     """
     out = {}
     for deg, m in bredon.homotopy(v, format_name_expr(coeff)).items():
@@ -301,54 +281,12 @@ def oracle_homotopy(v, coeff):
     return out
 
 
-def graded_homotopy_C2(a, k, coeff):
-    """Homotopy names of the (a + k rho)-suspension of H(coeff) over C2."""
-    out = {}
-    atoms = dict(coeff)
-    if not atoms:
-        return out
-    if set(atoms) == {"g"}:
-        _merge(out, a + k, (("g", atoms["g"]),))
-        return out
-    if len(atoms) > 1:
-        for atom, mult in atoms.items():
-            for deg, names in graded_homotopy_C2(a, k, ((atom, mult),)).items():
-                _merge(out, deg, names)
-        return out
-    (name, mult), = atoms.items()
-    unit = ((name, 1),)
-    if k == 0:
-        _merge(out, a, ((name, mult),))
-        return out
-    if name == "F":
-        _merge(out, 2 * k + a, (("F", mult),))
-        for i in range(k, 2 * k):
-            _merge(out, i + a, (("g", mult),))
-        return out
-    if name == "f":
-        _merge(out, 2 * k + a, (("F", mult),))
-        for i in range(k + 1, 2 * k):
-            _merge(out, i + a, (("g", mult),))
-        return out
-    if name == "F*":
-        if k == 1:
-            _merge(out, a + 2, (("f", mult),))
-            return out
-        _merge(out, 2 * k + a, (("F", mult),))
-        for i in range(k + 2, 2 * k):
-            _merge(out, i + a, (("g", mult),))
-        return out
-    raise ValueError(f"no closed form for C2 coefficient {name}")
-
-
 def homotopy_of_slice(cell: SliceCell, allow_oracle=False):
     """Graded homotopy names of a slice cell; {} for trivial cells."""
     if cell.trivial:
         return {}
     a, k = _rho_decompose(cell.susp)
-    if cell.group == "K":
-        return graded_homotopy_K(a, k, cell.coeff, allow_oracle=allow_oracle)
-    return graded_homotopy_C2(a, k, cell.coeff)
+    return graded_homotopy(a, k, cell.coeff, cell.group, allow_oracle)
 
 
 # the cofiber C of the constant functor mapping into its three-fold
@@ -366,7 +304,7 @@ def cofiber_node_homotopy(m):
     """
     out = {}
     for deg, names in COFIBER_C_HOMOTOPY:
-        for d, expr in graded_homotopy_K(m + deg, 1, names).items():
+        for d, expr in graded_homotopy(m + deg, 1, names).items():
             _merge(out, d, expr)
     return out
 
@@ -430,7 +368,7 @@ def _node(kind, label, i, k, a, names, summand_of=None, note=""):
         hom = tuple(sorted(cofiber_node_homotopy(a).items()))
         return TowerNode(kind, label, i, susp, "C", hom, summand_of, note)
     coeff = parse_name_expr(names)
-    hom = tuple(sorted(graded_homotopy_K(a, k, coeff, allow_oracle=True).items()))
+    hom = tuple(sorted(graded_homotopy(a, k, coeff, allow_oracle=True).items()))
     return TowerNode(kind, label, i, susp, coeff, hom, summand_of, note)
 
 
@@ -591,7 +529,7 @@ def restriction_consistency(n):
                 rsusp = restrict_rep(kcell.susp, h)
                 rcoeff = _restrict_coeff(kcell.coeff, h)
                 a, k = _rho_decompose(rsusp)
-                got = graded_homotopy_C2(a, k, rcoeff)
+                got = graded_homotopy(a, k, rcoeff, "C2")
             if got != expect:
                 failures.append(
                     f"n={n} i={i} at {h}: restricted {got} != C2 slice {expect}")

@@ -188,7 +188,7 @@ def suite_slice_homotopy(k_max=3):
         rep.checked += 1
         expr = parse_name_expr(coeff)
         try:
-            formula = slc.graded_homotopy_K(v.a - v.b, v.b, expr)
+            formula = slc.graded_homotopy(v.a - v.b, v.b, expr)
             oracle = slc.oracle_homotopy(v, expr)
         except ValueError as exc:
             rep.fail(f"{coeff} at {v.coeffs()}: {exc}")

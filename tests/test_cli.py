@@ -41,6 +41,31 @@ def test_homotopy_closed_engine():
     assert "pi_5 = F" in text and "pi_4 = mg" in text
 
 
+def test_homotopy_engines_agree():
+    # the closed engine prints what the oracle engine prints, --level included
+    cases = [
+        ["--rep=0,-1,-1,-1", "--coeff", "f"],
+        ["--rep=-1,-2,-2,-2", "--coeff", "phiLDR(F*) + g^2", "--level", "all"],
+        ["--rep=1,1,1,1", "--coeff", "mg", "--level", "L"],
+        ["--rep=2,-1,-1,-1", "--coeff", "m*", "--level", "K"],
+        ["--rep=1,1", "--coeff", "f", "--level", "e"],
+        ["--rep=-1,-3", "--coeff", "F* + g", "--level", "C2"],
+    ]
+    for argv in cases:
+        texts = [run(["homotopy", "--engine", engine] + argv)
+                 for engine in ("closed", "oracle")]
+        assert texts[0] == texts[1] and texts[0][0] == 0, argv
+        closed, oracle = (json.loads(run(["homotopy", "--engine", engine, "--format",
+                                          "json"] + argv)[1])
+                          for engine in ("closed", "oracle"))
+        for row in oracle:
+            del row["mackey"]
+        assert closed == oracle, argv
+    assert run(["homotopy", "--engine", "closed", "--rep", "1,1,1,1", "--coeff",
+                "mg", "--level", "L"]) == \
+        (0, "pi_1(L) = F2^0  [g^2]\npi_2(L) = F2^1  [phiLDR(F)]\n")
+
+
 def test_verify_exit_codes(tmp_path):
     code, text = run(["verify", "--suite", "twistings"])
     assert code == 0 and "pass" in text

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kleinmackey.mackey import (CATALOG_ATOMS, catalog, catalog_c2,
+from kleinmackey.mackey import (CATALOG_ATOMS, DUAL_NAMES, catalog, catalog_c2,
                                 check_axioms, direct_sum, dual, expr_to_mackey,
                                 fingerprint, format_name_expr, hom_space,
                                 identify, inflate, is_isomorphic,
@@ -58,6 +58,18 @@ def test_dual_matches_pairing():
     assert dual(catalog("f")) == catalog("f")
     for name in CATALOG_ATOMS:
         assert dual(dual(catalog(name))) == catalog(name)
+
+
+def test_dual_names_are_the_papers_pairing():
+    assert DUAL_NAMES == {
+        "F": "F*", "F*": "F", "m": "m*", "m*": "m", "mg": "mg*", "mg*": "mg",
+        "w": "w*", "w*": "w", "W": "W*", "W*": "W",
+        "phiL(F)": "phiL(F*)", "phiL(F*)": "phiL(F)",
+        "phiD(F)": "phiD(F*)", "phiD(F*)": "phiD(F)",
+        "phiR(F)": "phiR(F*)", "phiR(F*)": "phiR(F)",
+        "f": "f", "g": "g", "phiL(f)": "phiL(f)", "phiD(f)": "phiD(f)",
+        "phiR(f)": "phiR(f)",
+    }
 
 
 def test_inflate_examples():

@@ -1,8 +1,8 @@
 import itertools
 
 from kleinmackey import bredon as br
-from kleinmackey.mackey import (catalog, dual, fingerprint, format_name_expr,
-                                identify)
+from kleinmackey.mackey import (catalog, catalog_c2, direct_sum, dual,
+                                fingerprint, format_name_expr, identify)
 from kleinmackey.reps import RHO_K, RepC2, RepK
 
 
@@ -277,6 +277,11 @@ def test_with_coefficients_examples():
     t = br.homotopy(RHO_K, "m")
     assert names(t)[2] == "phiLDR(F)"
     assert names(t)[1] == "g"
+    # a C2 name expression resolves to the same functor as its explicit sum
+    cx = br.sphere_complex(RepC2(0, 2))
+    summed = direct_sum([catalog_c2("F*"), catalog_c2("f")])
+    assert br.homology(br.with_coefficients(cx, "F* + f")) == \
+        br.homology(br.with_coefficients(cx, summed))
 
 
 def test_homotopy_examples():

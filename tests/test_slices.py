@@ -1,8 +1,8 @@
 import pytest
 
 from kleinmackey import slices as sl
-from kleinmackey.mackey import catalog, format_name_expr
-from kleinmackey.reps import RepK
+from kleinmackey.mackey import catalog, format_name_expr, parse_name_expr
+from kleinmackey.reps import RepC2, RepK
 
 
 def cell_str(cell):
@@ -111,15 +111,15 @@ def test_effective_slice_dims():
 
 
 def test_homotopy_of_slice_examples():
-    table = hom_names(sl.graded_homotopy_K(0, 2, sl._expr("F")))
+    table = hom_names(sl.graded_homotopy(0, 2, parse_name_expr("F")))
     assert table == {8: "F", 7: "mg", 6: "phiLDR(F)", 5: "phiLDR(F) + g",
                      4: "phiLDR(F) + g^2", 3: "g^3", 2: "g"}
-    table = hom_names(sl.graded_homotopy_K(1, 2, sl._expr("phiLDR(f)")))
+    table = hom_names(sl.graded_homotopy(1, 2, parse_name_expr("phiLDR(f)")))
     assert table == {5: "phiLDR(F)", 4: "g^3"}
     cell = sl.slice_K(5, 8)
     assert hom_names(sl.homotopy_of_slice(cell)) == {2: "g"}
     with pytest.raises(ValueError):
-        sl.graded_homotopy_K(0, 1, sl._expr("w*"))
+        sl.graded_homotopy(0, 1, parse_name_expr("w*"))
 
 
 def test_bottom_slice_matches_oracle():
@@ -150,12 +150,13 @@ def test_tower_8_has_cofiber_section():
     c_nodes = [node for node in nodes if node.coeff == "C"]
     assert len(c_nodes) == 1
     assert c_nodes[0].pretty() == "Σ^{ρ+3} C"
-    assert dict(c_nodes[0].homotopy)[8] == sl._expr("F")
-    assert dict(c_nodes[0].homotopy)[7] == sl._expr("mg")
-    assert dict(c_nodes[0].homotopy)[4] == sl._expr("g^2")
+    assert dict(c_nodes[0].homotopy)[8] == parse_name_expr("F")
+    assert dict(c_nodes[0].homotopy)[7] == parse_name_expr("mg")
+    assert dict(c_nodes[0].homotopy)[4] == parse_name_expr("g^2")
     # the cofiber spectrum itself has the advertised two homotopy functors
     assert sl.cofiber_node_homotopy(-1) == \
-        {4: sl._expr("F"), 3: sl._expr("mg"), 0: sl._expr("g^2")}
+        {4: parse_name_expr("F"), 3: parse_name_expr("mg"),
+         0: parse_name_expr("g^2")}
 
 
 def test_tower_9_10_summands():
@@ -181,7 +182,7 @@ def test_tower_slices_match_formulas():
             agg = {}
             for susp, coeff in parts[i]:
                 a, k = sl._rho_decompose(susp)
-                for d, names in sl.graded_homotopy_K(a, k, coeff).items():
+                for d, names in sl.graded_homotopy(a, k, coeff).items():
                     sl._merge(agg, d, names)
             assert agg == sl.homotopy_of_slice(cell), (n, i)
 
@@ -222,5 +223,20 @@ def test_mstar_and_mgstar_twisted_tables_match_oracle():
     for coeff in ("m*", "mg*"):
         for k in (1, 2):
             v = RepK(k, k, k, k)
-            formula = sl.graded_homotopy_K(0, k, sl._expr(coeff))
-            assert formula == sl.oracle_homotopy(v, sl._expr(coeff)), (coeff, k)
+            formula = sl.graded_homotopy(0, k, parse_name_expr(coeff))
+            assert formula == sl.oracle_homotopy(v, parse_name_expr(coeff)), (coeff, k)
+
+
+CLOSED_K_ATOMS = ("F", "F*", "f", "g", "m", "m*", "mg", "mg*") + tuple(
+    f"phi{h}({x})" for h in "LDR" for x in ("F", "F*", "f"))
+CLOSED_GRID = [("K", atom, k) for atom in CLOSED_K_ATOMS for k in range(-3, 4)] + \
+    [("C2", atom, k) for atom in ("F", "F*", "f", "g") for k in range(-4, 5)]
+
+
+@pytest.mark.parametrize("group,atom,k", CLOSED_GRID)
+def test_closed_forms_match_oracle_at_every_twist(group, atom, k):
+    # negative twists come from the dual table, inflated atoms from the C2 one
+    for a in (-1, 0, 1):
+        v = RepK(a + k, k, k, k) if group == "K" else RepC2(a + k, k)
+        expr = ((atom, 1),)
+        assert sl.graded_homotopy(a, k, expr, group) == sl.oracle_homotopy(v, expr), a
