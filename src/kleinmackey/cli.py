@@ -59,11 +59,14 @@ def cmd_homotopy(args, out):
     if args.engine == "closed":
         a = v.a - v.b
         k = v.b
-        if args.coeff == "F" and (group == "C2" or (v.c, v.d) != (k, k)):
-            # general twist: report the per-level dimension series
+        if group == "K" and (v.c, v.d) != (k, k):
+            if args.coeff != "F":
+                raise UsageError("closed engine needs a suspension of the form "
+                                 "a + k rho for named coefficients")
+            # a Klein twist not of the form a + k rho: report the per-level
+            # dimension series
             series = hk.poincare(v)
-            order = ("K", "L", "D", "R", "e") if group == "K" else ("C2", "e")
-            levels = [args.level] if args.level != "all" else list(order)
+            levels = group_by_name("K").levels if args.level == "all" else [args.level]
             if args.format == "json":
                 _emit(out, json.dumps({lv: series[lv].to_json_dict()
                                        for lv in levels},
@@ -72,9 +75,6 @@ def cmd_homotopy(args, out):
                 for lv in levels:
                     _emit(out, f"{lv}: {series[lv].pretty()}")
             return 0
-        if group == "K" and (v.b, v.c, v.d) != (k, k, k):
-            raise UsageError("closed engine needs a suspension of the form "
-                             "a + k rho for named coefficients")
         table = slc.graded_homotopy(a, k, parse_name_expr(args.coeff, group), group)
         found = [({"degree": d, "identified_name": format_name_expr(e)},
                   expr_dims(e, group)) for d, e in sorted(table.items())]

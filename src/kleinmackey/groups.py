@@ -43,9 +43,6 @@ class GroupData:
         for attr, table in tables.items():
             object.__setattr__(self, attr, table)  # the dataclass is frozen
 
-    def order(self, h):
-        return len(self.subgroups[h])
-
     def leq(self, a, b):
         return self.subgroups[a] <= self.subgroups[b]
 

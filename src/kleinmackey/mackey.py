@@ -5,7 +5,9 @@ and a transfer matrix per lattice edge.  All group actions are trivial, so
 the double coset rule collapses to concrete matrix identities that
 check_axioms verifies.  The catalog holds the named functors used
 throughout; identify() writes an arbitrary functor as a sum of catalog
-names by matching additive rank invariants.
+names by matching additive rank invariants.  hom_space gives a basis of the
+maps between two functors, rank_tuples_of_hom the exact set of their
+levelwise ranks, and is_isomorphic an exact isomorphism test.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .f2 import BitMatrix
+from .f2 import BitMatrix, EchelonSpan
 from .groups import group_by_name
 
 
@@ -59,9 +61,6 @@ class Mackey:
 
     def is_zero(self):
         return all(d == 0 for d in self.dims)
-
-    def total_dim(self):
-        return sum(self.dims)
 
     def to_json_dict(self):
         levels = self.gd.levels
@@ -444,12 +443,11 @@ def check_axioms(m):
 # ---------------------------------------------------------------------------
 # fingerprints and identification
 
-def _stack_rank(mats, how):
-    mats = list(mats)
+def _stack(mats, how):
     acc = mats[0]
     for m2 in mats[1:]:
         acc = acc.vstack(m2) if how == "v" else acc.hstack(m2)
-    return acc.rank()
+    return acc
 
 
 def fingerprint(m):
@@ -470,18 +468,18 @@ def fingerprint(m):
     tr_low = [m.tr_edge(h, "e") for h in cyc]
     res_part = (
         tuple(x.rank() for x in res_down) + tuple(x.rank() for x in res_low),
-        _stack_rank(res_down, "v"),
-        tuple(_stack_rank([res_down[i], res_down[j]], "v")
+        _stack(res_down, "v").rank(),
+        tuple(_stack([res_down[i], res_down[j]], "v").rank()
               for i, j in ((0, 1), (0, 2), (1, 2))),
-        _stack_rank(res_low, "h"),
+        _stack(res_low, "h").rank(),
         m.res_map("K", "e").rank(),
     )
     tr_part = (
         tuple(x.rank() for x in tr_up) + tuple(x.rank() for x in tr_low),
-        _stack_rank(tr_up, "h"),
-        tuple(_stack_rank([tr_up[i], tr_up[j]], "h")
+        _stack(tr_up, "h").rank(),
+        tuple(_stack([tr_up[i], tr_up[j]], "h").rank()
               for i, j in ((0, 1), (0, 2), (1, 2))),
-        _stack_rank(tr_low, "v"),
+        _stack(tr_low, "v").rank(),
         m.tr_map("e", "K").rank(),
     )
     mixed = tuple((m.res_edge("K", h1) @ m.tr_edge("K", h2)).rank()
@@ -518,10 +516,11 @@ def identify(m):
     """Write m as a sum of catalog names by matching fingerprints.
 
     Fingerprints are additive, so this solves an exact nonnegative integer
-    combination; they are not a complete isomorphism invariant in general,
-    but the test suite backs them with brute-force isomorphism checks on
-    the functors this package produces.  Returns the name-expression tuple,
-    or None when no catalog combination matches.
+    combination.  They are not a complete isomorphism invariant in general;
+    what backs them is test_identify_names_an_isomorphic_functor, which
+    checks with is_isomorphic that every identified oracle output over a box
+    of representations is isomorphic to the sum named.  Returns the
+    name-expression tuple, or None when no catalog combination matches.
     """
     if m.is_zero():
         return ()
@@ -615,45 +614,67 @@ def hom_space(m1, m2):
     return basis
 
 
-def _span(basis, m1, m2):
-    """Every map in the span of a hom-space basis, as {level: BitMatrix}."""
-    levels = m1.gd.levels
-    for mask in range(1 << len(basis)):
-        maps = {}
-        for lv in levels:
-            acc = BitMatrix.zeros(m2.dim(lv), m1.dim(lv))
-            mm = mask
-            while mm:
-                k = (mm & -mm).bit_length() - 1
-                acc = acc + basis[k][lv]
-                mm &= mm - 1
-            maps[lv] = acc
-        yield maps
+# rank_tuples_of_hom visits all 2^k parts of the maps below the top level;
+# it refuses k above this.
+MAX_LOWER_DIM = 16
 
 
-def is_isomorphic(m1, m2, cap=18):
-    """Brute-force isomorphism test via the hom space; exact but small-only."""
+def is_isomorphic(m1, m2):
+    """Exact isomorphism test: some map m1 -> m2 has full rank at every level."""
     if m1.group != m2.group or m1.dims != m2.dims:
         return False
     if fingerprint(m1) != fingerprint(m2):
         return False
-    basis = hom_space(m1, m2)
-    if len(basis) > cap:
-        raise ValueError(f"hom space too large to enumerate ({len(basis)})")
-    return any(all(f[lv].rank() == m1.dim(lv) for lv in m1.gd.levels)
-               for f in _span(basis, m1, m2))
+    return m1.dims in rank_tuples_of_hom(m1, m2)
 
 
-def rank_tuples_of_hom(m1_expr, m2_expr, group="K", cap=14):
-    """All levelwise rank tuples realized by maps between two named sums.
+def rank_tuples_of_hom(m1, m2):
+    """The set of levelwise rank tuples of all maps m1 -> m2, exactly.
 
-    Enumerates the hom space when it is small; callers needing large cases
-    should special-case them.  Returns a set of dim-per-level tuples.
+    A map is its part below the top level plus its top component.  The maps
+    that vanish below the top are exactly S Y Q for any Y, where S spans the
+    kernel of the restrictions out of the top of m2 and Q is the top of m1
+    modulo every transfer into it.  Over a lower part with top component A,
+    rank(A + S Y Q) takes every value from r[A S] + r[A; Q] - r[[A S]; [Q 0]]
+    up to min(r[A S], r[A; Q]) (Marsaglia-Styan 1974; Cohen, Johnson, Rodman
+    and Woerdeman 1989), with no gaps because a rank-one change of Y moves
+    the rank by at most one.  ValueError when the maps restricted below the
+    top span more than MAX_LOWER_DIM dimensions.
     """
-    m1 = expr_to_mackey(m1_expr, group)
-    m2 = expr_to_mackey(m2_expr, group)
-    basis = hom_space(m1, m2)
-    if len(basis) > cap:
-        raise ValueError(f"hom space too large ({len(basis)})")
-    return {tuple(f[lv].rank() for lv in m1.gd.levels)
-            for f in _span(basis, m1, m2)}
+    gd = m1.gd
+    top = gd.levels[0]
+    children = [lo for u, lo in gd.edges if u == top]
+    res_out = [m2.res_edge(top, lo) for lo in children]
+    tr_in = [m1.tr_edge(top, lo).transpose() for lo in children]
+    kernel = _stack(res_out, "v").kernel_basis()
+    S = BitMatrix(len(kernel), m2.dim(top), kernel).transpose()
+    cokernel = _stack(tr_in, "v").kernel_basis()
+    Q = BitMatrix(len(cokernel), m1.dim(top), cokernel)
+    corner = Q.hstack(BitMatrix.zeros(Q.rows, S.cols))
+    # one lifted map per dimension of the maps' projection below the top
+    span = EchelonSpan()
+    lifts = [f for f in hom_space(m1, m2) if span.add(_lower_bits(f, gd.levels[1:]))]
+    if len(lifts) > MAX_LOWER_DIM:
+        raise ValueError(f"maps below the top level span {len(lifts)} "
+                         f"dimensions, more than {MAX_LOWER_DIM}")
+    parts = [[BitMatrix.zeros(m2.dim(lv), m1.dim(lv)) for lv in gd.levels]]
+    for f in lifts:
+        parts += [[a + f[lv] for a, lv in zip(p, gd.levels)] for p in parts]
+    tuples = set()
+    for A, *below in parts:
+        lower = tuple(x.rank() for x in below)
+        a_s, a_q = A.hstack(S), A.vstack(Q)
+        r_as, r_aq = a_s.rank(), a_q.rank()
+        least = r_as + r_aq - a_s.vstack(corner).rank()
+        tuples.update((r,) + lower for r in range(least, min(r_as, r_aq) + 1))
+    return tuples
+
+
+def _lower_bits(f, levels):
+    """The components of a map at the given levels, as one bit vector."""
+    bits = shift = 0
+    for lv in levels:
+        for row in f[lv].data:
+            bits |= row << shift
+            shift += f[lv].cols
+    return bits

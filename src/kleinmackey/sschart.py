@@ -8,10 +8,8 @@ everything except the constant functor at (n, n) dies.
 
 The solver enumerates exact cancellation patterns.  Rank tuples of a
 candidate differential are constrained to those realized by actual maps
-between the named source and target functors; for the functor families that
-occur in these charts (the constant functor, the two-dimensional quotient,
-inflation triples with geometric summands, and pure geometric sums) the
-realizable tuples have small closed-form descriptions.
+between the named source and target functors, which
+mackey.rank_tuples_of_hom computes exactly from the hom space.
 """
 
 from __future__ import annotations
@@ -21,8 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .groups import group_by_name
-from .mackey import (display_terms, expr_dims, format_name_expr,
-                     rank_tuples_of_hom)
+from .mackey import (display_terms, expr_dims, expr_to_mackey,
+                     format_name_expr, rank_tuples_of_hom)
 from .slices import homotopy_of_slice, slice_bounds_K, slice_C2, slice_K
 
 
@@ -75,108 +73,11 @@ def build_E1(n, group="K"):
 # realizable rank tuples between named entries
 
 
-def _classify(expr):
-    """(phi_count, g_count, kind) with kind in {F, mg, phi+g, other}."""
-    counts = dict(expr)
-    g = counts.pop("g", 0)
-    phis = {k: v for k, v in counts.items() if k.startswith("phi")}
-    rest = {k: v for k, v in counts.items() if not k.startswith("phi")}
-    if not phis and not rest:
-        return ("g", 0, g)
-    if rest == {"F": 1} and not phis and not g:
-        return ("F", 0, 0)
-    if rest == {"mg": 1} and not phis and not g:
-        return ("mg", 0, 0)
-    if not rest and set(phis) == {"phiL(F)", "phiD(F)", "phiR(F)"} and \
-            set(phis.values()) == {1}:
-        return ("phi", 1, g)
-    return ("other", None, None)
-
-
 @lru_cache(maxsize=None)
 def achievable_tuples(src_expr, tgt_expr, group):
     """Levelwise rank tuples of actual functor maps src -> tgt."""
-    nlev = len(group_by_name(group).levels)
-    sdims = expr_dims(src_expr, group)
-    tdims = expr_dims(tgt_expr, group)
-    caps = tuple(min(s, t) for s, t in zip(sdims, tdims))
-
-    def boxes(kmax):
-        return {(r,) + (0,) * (nlev - 1) for r in range(kmax + 1)}
-
-    if group == "C2":
-        s = dict(src_expr)
-        t = dict(tgt_expr)
-        if s == {"F": 1} and t == {"F": 1}:
-            return frozenset({(0, 0), (1, 1)})
-        if s.get("F") and set(t) == {"g"}:
-            return frozenset(boxes(caps[0]))
-        if set(s) == {"g"} and set(t) == {"g"}:
-            return frozenset(boxes(caps[0]))
-        if set(s) == {"g"}:  # maps out of geometric entries into F are zero
-            return frozenset(boxes(0))
-        return frozenset(rank_tuples_of_hom(src_expr, tgt_expr, group))
-
-    skind, sphi, sg = _classify(src_expr)
-    tkind, tphi, tg = _classify(tgt_expr)
-    if skind == "other" or tkind == "other":
-        return frozenset(rank_tuples_of_hom(src_expr, tgt_expr, "K"))
-
-    if skind == "g":
-        kmax = min(sg, tg) if tkind in ("g", "phi") else 0
-        return frozenset(boxes(kmax))
-    if tkind == "g":
-        # anything maps freely into geometric targets at the top level
-        return frozenset(boxes(min(sdims[0], tg)))
-    if skind == "F":
-        out = {(0, 0, 0, 0, 0)}
-        if tkind == "phi":
-            for eps in range(8):
-                el, ed, er = (eps >> 2) & 1, (eps >> 1) & 1, eps & 1
-                if eps or tg:
-                    out.add((1, el, ed, er, 0))
-        elif tkind == "mg":
-            return frozenset(rank_tuples_of_hom(src_expr, tgt_expr, "K"))
-        return frozenset(out)
-    if skind == "mg":
-        if tkind != "phi":
-            return frozenset(rank_tuples_of_hom(src_expr, tgt_expr, "K"))
-        rows = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}  # L, D, R rows
-        out = set()
-        for eps in range(8):
-            el, ed, er = (eps >> 2) & 1, (eps >> 1) & 1, eps & 1
-            chosen = [rows[1]] * el + [rows[2]] * ed + [rows[3]] * er
-            base = _row_rank(chosen)
-            for extra in range(min(tg, 2 - base) + 1):
-                out.add((base + extra, el, ed, er, 0))
-        return frozenset(out)
-    # skind == "phi": block diagonal on the three inflation lines plus free
-    # maps into the geometric part
-    out = set()
-    for eps in range(8):
-        el, ed, er = (eps >> 2) & 1, (eps >> 1) & 1, eps & 1
-        if tkind == "phi":
-            base = el + ed + er
-            room = 3 + sg - base
-        else:
-            if eps:
-                continue
-            base, room = 0, 3 + sg
-        for extra in range(min(tg, room) + 1):
-            out.add((base + extra, el, ed, er, 0))
-    return frozenset(out)
-
-
-def _row_rank(rows):
-    # GF(2) rank of a list of 2-bit rows
-    basis = []
-    for a, b in rows:
-        v = a | (b << 1)
-        for u in basis:
-            v = min(v, v ^ u)
-        if v:
-            basis.append(v)
-    return len(basis)
+    return frozenset(rank_tuples_of_hom(expr_to_mackey(src_expr, group),
+                                        expr_to_mackey(tgt_expr, group)))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,8 @@ def test_homotopy_engines_agree():
         ["--rep=2,-1,-1,-1", "--coeff", "m*", "--level", "K"],
         ["--rep=1,1", "--coeff", "f", "--level", "e"],
         ["--rep=-1,-3", "--coeff", "F* + g", "--level", "C2"],
+        ["--rep=1,1", "--coeff", "F"],
+        ["--rep=-2,-3", "--coeff", "F", "--level", "C2"],
     ]
     for argv in cases:
         texts = [run(["homotopy", "--engine", engine] + argv)

@@ -1,14 +1,19 @@
+import itertools
 import json
+import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kleinmackey import bredon, sschart
 from kleinmackey.mackey import (CATALOG_ATOMS, DUAL_NAMES, catalog, catalog_c2,
                                 check_axioms, direct_sum, dual, expr_to_mackey,
                                 fingerprint, format_name_expr, hom_space,
                                 identify, inflate, is_isomorphic,
-                                mackey_from_json, parse_name_expr, restrict_to,
-                                zero_mackey)
+                                mackey_from_json, parse_name_expr,
+                                rank_tuples_of_hom, restrict_to, zero_mackey)
+from kleinmackey.reps import RepC2, RepK
 
 
 def test_catalog_diagrams():
@@ -47,17 +52,6 @@ def test_axioms_detect_corruption():
     bad = mackey_from_json(doc)
     failures = check_axioms(bad)
     assert any("res K>R . tr R>K" in f for f in failures)
-
-
-def test_dual_matches_pairing():
-    for a, b in (("F", "F*"), ("m", "m*"), ("w", "w*"), ("mg", "mg*"),
-                 ("W", "W*")):
-        assert dual(catalog(a)) == catalog(b)
-        assert dual(catalog(b)) == catalog(a)
-    assert dual(catalog("g")) == catalog("g")
-    assert dual(catalog("f")) == catalog("f")
-    for name in CATALOG_ATOMS:
-        assert dual(dual(catalog(name))) == catalog(name)
 
 
 def test_dual_names_are_the_papers_pairing():
@@ -191,3 +185,127 @@ def test_fingerprint_additive_over_sums(atoms1, atoms2):
     rhs = [x + y for x, y in zip(_flatten(fingerprint(m1)),
                                  _flatten(fingerprint(m2)))]
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# rank tuples of hom spaces against brute-force enumeration
+
+
+class _Maps:
+    """The maps m1 -> m2 by brute force: each is the sum of a subset of a
+    hom-space basis, with every level's matrix packed into one int."""
+
+    def __init__(self, m1, m2):
+        self.shapes = [(m2.dim(lv), m1.dim(lv)) for lv in m1.gd.levels]
+        self.basis = [[sum(row << i * f[lv].cols for i, row in enumerate(f[lv].data))
+                       for lv in m1.gd.levels] for f in hom_space(m1, m2)]
+        self._rank = lru_cache(maxsize=None)(self._level_rank)
+
+    def _level_rank(self, level, bits):
+        rows, cols = self.shapes[level]
+        basis = []
+        for i in range(rows):
+            row = bits >> i * cols & ((1 << cols) - 1)
+            for b in basis:
+                row = min(row, row ^ b)
+            if row:
+                basis.append(row)
+        return len(basis)
+
+    def ranks(self, mask):
+        """The rank tuple of the sum of the basis maps that mask selects."""
+        f = [0] * len(self.shapes)
+        for i, g in enumerate(self.basis):
+            if mask >> i & 1:
+                f = [a ^ b for a, b in zip(f, g)]
+        return tuple(self._rank(lv, x) for lv, x in enumerate(f))
+
+    def all_rank_tuples(self):
+        maps = [(0,) * len(self.shapes)]
+        for g in self.basis:
+            maps += [tuple(a ^ b for a, b in zip(f, g)) for f in maps]
+        return {tuple(self._rank(lv, x) for lv, x in enumerate(f)) for f in maps}
+
+
+def _chart_pairs():
+    """Every (source, target) functor pair a differential of a chart n <= 20 joins."""
+    pairs = set()
+    for group, n in itertools.product(("K", "C2"), range(21)):
+        emap = sschart.build_E1(n, group).entry_map()
+        pairs.update((emap[s], emap[t], group) for s in emap for t in emap
+                     if t[0] == s[0] - 1 and t[1] > s[1])
+    return [(expr_to_mackey(s, g), expr_to_mackey(t, g)) for s, t, g in sorted(pairs)]
+
+
+@lru_cache(maxsize=None)
+def _oracle_outputs(group):
+    """Identified oracle homotopy functors: Klein RepK(0, b, c, d) with
+    |b|, |c|, |d| <= 2 and C2 RepC2(0, b) with |b| <= 6."""
+    if group == "K":
+        reps = [RepK(0, *bcd) for bcd in itertools.product(range(-2, 3), repeat=3)]
+        coeffs = ("F", "F*", "m", "W", "mg*")
+    else:
+        reps = [RepC2(0, b) for b in range(-6, 7)]
+        coeffs = ("F", "F*", "f", "g")
+    return [m for v in reps for c in coeffs
+            for m in bredon.homotopy(v, c).values() if identify(m) is not None]
+
+
+def test_rank_tuples_match_brute_force_on_chart_pairs():
+    pairs = _chart_pairs()
+    assert len(pairs) == 59
+    rng = random.Random(11)
+    large = 0
+    for m1, m2 in pairs:
+        maps = _Maps(m1, m2)
+        claimed = rank_tuples_of_hom(m1, m2)
+        if len(maps.basis) <= 16:
+            assert claimed == maps.all_rank_tuples()
+            continue
+        # too large to enumerate: each sampled map's ranks are claimed
+        large += 1
+        for _ in range(200):
+            assert maps.ranks(rng.getrandbits(len(maps.basis))) in claimed
+    assert large == 32
+
+
+def test_rank_tuples_match_brute_force_on_catalog_sums():
+    rng = random.Random(5)
+    atoms = {"K": (CATALOG_ATOMS, catalog), "C2": (("F", "F*", "f", "g"), catalog_c2)}
+    compared = 0
+    for _ in range(400):
+        names, get = atoms[rng.choice(("K", "C2"))]
+        m1, m2 = (direct_sum([get(a) for a in rng.choices(names, k=rng.randint(1, 3))])
+                  for _ in range(2))
+        if len(hom_space(m1, m2)) <= 12:
+            assert rank_tuples_of_hom(m1, m2) == _Maps(m1, m2).all_rank_tuples()
+            compared += 1
+    assert compared >= 380
+
+
+def test_rank_tuples_match_brute_force_on_oracle_outputs():
+    rng = random.Random(3)
+    compared = 0
+    for group in ("K", "C2"):
+        distinct = list(dict.fromkeys(_oracle_outputs(group)))
+        pairs = list(itertools.product(distinct, repeat=2))
+        for m1, m2 in rng.sample(pairs, min(len(pairs), 400)):
+            if len(hom_space(m1, m2)) <= 12:
+                assert rank_tuples_of_hom(m1, m2) == _Maps(m1, m2).all_rank_tuples()
+                compared += 1
+    assert compared >= 400
+
+
+def test_rank_tuples_examples():
+    F = catalog("F")
+    assert rank_tuples_of_hom(F, F) == {(0,) * 5, (1,) * 5}
+    assert rank_tuples_of_hom(F, catalog("F*")) == {(0,) * 5, (1, 0, 0, 0, 0)}
+    assert rank_tuples_of_hom(catalog("g"), catalog("mg")) == {(0,) * 5}
+    with pytest.raises(ValueError, match="more than 16"):
+        rank_tuples_of_hom(catalog("F + F + F + F + F"), catalog("F + F + F + F"))
+
+
+def test_identify_names_an_isomorphic_functor():
+    for group in ("K", "C2"):
+        for m in _oracle_outputs(group):
+            assert is_isomorphic(m, expr_to_mackey(identify(m), group))

@@ -292,6 +292,12 @@ def test_achievable_tuples_structure():
     # the extra geometric summand raises the reachable top rank by one
     tuples = ss.achievable_tuples(phig, phi, "K")
     assert (3, 1, 1, 1, 0) in tuples and (4, 1, 1, 1, 0) not in tuples
+    # the identity of the constant functor has full rank everywhere
+    assert (1, 1, 1, 1, 1) in ss.achievable_tuples((("F", 1),), (("F", 1),), "K")
+    # over C2 a geometric summand maps onto the top of F* and onto g
+    for k in (1, 2, 3):
+        for tgt in ((("F*", 1),), (("F", 1), ("g", 1))):
+            assert (1, 0) in ss.achievable_tuples((("g", k),), tgt, "C2")
 
 
 def test_render_svg_golden_n10():
