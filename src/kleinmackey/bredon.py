@@ -235,21 +235,25 @@ class LevelComplexes:
         # per level, per degree: one _Slot per cell
         self.layout = {}
         self.dims = {}
-        # composite transfer m(lower) -> m(upper), or the restriction back,
-        # by (transfer, upper, lower)
+        # nonzero rows (index, row) of the composite transfer m(lower) ->
+        # m(upper), or of the restriction back, by (transfer, upper, lower)
         self._blocks = {}
+        stabs = {cell.stab for cs in cx.cells.values() for cell in cs}
         for lv in self.levels:
+            # a cell's slot depends only on (level, stabilizer) up to its offset
+            shapes = {}
+            for stab in stabs:
+                join = gd.join(lv, stab)
+                meet = gd.meet(lv, stab)
+                shapes[stab] = (gd.cosets(join), gd.coset_index(join), coeff.dim(meet), meet)
             self.layout[lv] = {}
             self.dims[lv] = {}
             for n, cs in cx.cells.items():
                 off = 0
                 per_cell = []
                 for cell in cs:
-                    join = gd.join(lv, cell.stab)
-                    meet = gd.meet(lv, cell.stab)
-                    reps = gd.cosets(join)
-                    bdim = coeff.dim(meet)
-                    per_cell.append(_Slot(off, reps, gd.coset_index(join), bdim, meet))
+                    reps, pos, bdim, meet = shapes[cell.stab]
+                    per_cell.append(_Slot(off, reps, pos, bdim, meet))
                     off += len(reps) * bdim
                 self.layout[lv][n] = per_cell
                 self.dims[lv][n] = off
@@ -262,23 +266,32 @@ class LevelComplexes:
 
         Each puts one block per coset r of the smaller-stabilizer slot at the
         larger slot's coset of r*trans: the transfer m(small) -> m(big), or
-        the restriction back at the transposed position.
+        the restriction back at the transposed position.  A block is kept as
+        its nonzero rows, so an empty or zero block places nothing and a 1x1
+        identity is one bit flip.
         """
         data = [0] * rows
+        blocks = self._blocks
         for small, big, trans, transfer in placements:
+            if not (small.bdim and big.bdim):
+                continue
             key = (transfer, big.meet, small.meet)
-            block = self._blocks.get(key)
+            block = blocks.get(key)
             if block is None:
                 block = (self.coeff.tr_map(small.meet, big.meet) if transfer
                          else self.coeff.res_map(big.meet, small.meet))
-                self._blocks[key] = block
-            for i, rep in enumerate(small.reps):
-                s_pos = small.off + i * small.bdim
-                b_pos = big.off + big.pos[rep ^ trans] * big.bdim
-                if transfer:
-                    _xor_block(data, block, b_pos, s_pos)
-                else:
-                    _xor_block(data, block, s_pos, b_pos)
+                block = blocks[key] = tuple((i, row) for i, row in enumerate(block.data)
+                                            if row)
+            if not block:
+                continue
+            s_pos, s_dim = small.off, small.bdim
+            b_off, b_dim, pos = big.off, big.bdim, big.pos
+            for rep in small.reps:
+                b_pos = b_off + pos[rep ^ trans] * b_dim
+                row_off, col_off = (b_pos, s_pos) if transfer else (s_pos, b_pos)
+                for r, row in block:
+                    data[row_off + r] ^= row << col_off
+                s_pos += s_dim
         return BitMatrix(rows, cols, tuple(data))
 
     def differential(self, lv, n):
@@ -301,11 +314,6 @@ class LevelComplexes:
         pairs = zip(self.layout[lower].get(n, ()), self.layout[upper].get(n, ()))
         return self._assemble(self.dim(upper, n), self.dim(lower, n),
                               [(lo, u, 0, True) for lo, u in pairs])
-
-
-def _xor_block(data, block, row_off, col_off):
-    for i in range(block.rows):
-        data[row_off + i] ^= block.data[i] << col_off
 
 
 def with_coefficients(cx, coeff):

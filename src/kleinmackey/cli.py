@@ -22,6 +22,20 @@ class UsageError(Exception):
     pass
 
 
+# The largest sphere the oracle engine takes, counted in cells of its complex.
+# At this size a --coeff F query takes about a minute: 35(alpha+beta+gamma),
+# 89531 cells, took 55 s on a 2-core x86-64 host with Python 3.11.
+MAX_ORACLE_CELLS = 90000
+
+
+def oracle_cell_count(v):
+    """Cells of the oracle's complex for S^v, computed without building it."""
+    if isinstance(v, RepC2):
+        return 1 + abs(v.b)
+    b, c, d = abs(v.b), abs(v.c), abs(v.d)
+    return (1 + b) * (1 + c) * (1 + d) + b * c * d
+
+
 def _parse_any_rep(text):
     parts = text.split(",")
     if len(parts) == 2:
@@ -79,6 +93,10 @@ def cmd_homotopy(args, out):
         found = [({"degree": d, "identified_name": format_name_expr(e)},
                   expr_dims(e, group)) for d, e in sorted(table.items())]
     else:
+        cells = oracle_cell_count(v)
+        if cells > MAX_ORACLE_CELLS:
+            raise UsageError(f"S^V has {cells} cells, more than the oracle "
+                             f"engine's bound of {MAX_ORACLE_CELLS}")
         found = []
         for d, m in sorted(bredon.homotopy(v, args.coeff).items()):
             expr = identify(m)
@@ -243,7 +261,12 @@ def build_parser():
     sp.add_argument("--format", default="text", choices=["text", "json"])
     sp.set_defaults(func=cmd_poincare)
 
-    sp = sub.add_parser("homotopy", help="graded homotopy Mackey functors")
+    sp = sub.add_parser(
+        "homotopy", help="graded homotopy Mackey functors",
+        description="Graded homotopy Mackey functors of a twisted sphere. The "
+                    "oracle engine refuses a sphere whose cell complex has more "
+                    f"than {MAX_ORACLE_CELLS} cells, (1+|b|)(1+|c|)(1+|d|) + "
+                    "|bcd| for K and 1+|b| for C2, about a minute of work.")
     sp.add_argument("--rep", required=True)
     sp.add_argument("--coeff", default="F")
     sp.add_argument("--engine", default="oracle", choices=["oracle", "closed"])

@@ -3,11 +3,16 @@
 Rows are stored as Python int bitmasks, so a row operation is a single
 XOR no matter how wide the matrix is.  Matrices act on column vectors,
 which are also int bitmasks: bit j of a vector is coordinate j.
+
+Rank, kernel basis, solving and the image used by homology all come from one
+routine, column_reduction.  Boundary matrices have two to four nonzeros per
+column, so reducing them is close to linear in their size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -114,60 +119,53 @@ class BitMatrix:
             off += b.cols
         return BitMatrix(rows, cols, tuple(data))
 
-    def _eliminate(self):
-        """Row-reduce a working copy; return (reduced rows, pivots as (row, col))."""
-        work = list(self.data)
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot = None
-            for i in range(r, len(work)):
-                if (work[i] >> c) & 1:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            for i in range(len(work)):
-                if i != r and ((work[i] >> c) & 1):
-                    work[i] ^= work[r]
-            pivots.append((r, c))
-            r += 1
-            if r == len(work):
-                break
-        return work, pivots
+    @cached_property
+    def _reduction(self):
+        # Kept on the matrix, so it lives and dies with it: homology reads a
+        # differential's image at one degree and its kernel at the next.
+        return column_reduction(self.transpose().data)
 
     def rank(self):
-        return len(self._eliminate()[1])
+        # Row rank equals column rank, and the rows need no transpose.  Not
+        # kept: ranked matrices are often the maps of functors that stay in
+        # a memo, and their reductions would stay with them.
+        return len(column_reduction(self.data)[0])
 
     def kernel_basis(self):
         """Basis of {v : self @ v = 0}, as column-vector bitmasks."""
-        work, pivots = self._eliminate()
-        pivot_cols = {c for _, c in pivots}
-        basis = []
-        for f in range(self.cols):
-            if f in pivot_cols:
-                continue
-            v = 1 << f
-            for r, c in pivots:
-                if (work[r] >> f) & 1:
-                    v |= 1 << c
-            basis.append(v)
-        return tuple(basis)
+        return self._reduction[1]
 
     def solve(self, b):
-        """One solution x of self @ x = b, or None if inconsistent."""
-        aug = BitMatrix(self.rows, self.cols + 1,
-                        tuple(r | (((b >> i) & 1) << self.cols)
-                              for i, r in enumerate(self.data)))
-        work, pivots = aug._eliminate()
-        x = 0
-        for r, c in pivots:
-            if c == self.cols:
-                return None
-            if (work[r] >> self.cols) & 1:
-                x |= 1 << c
-        return x
+        """One solution x of self @ x = b, or None if inconsistent.
+
+        The solution is the one supported on the independent columns.
+        """
+        residue, x = self._reduction[0].reduce(b & ((1 << self.rows) - 1))
+        return None if residue else x
+
+
+def column_reduction(columns):
+    """One left-to-right reduction of column vectors: (span, kernel).
+
+    Each column is XORed with the stored reduced column of its leading bit
+    until it vanishes or has a new leading bit.  span holds the reduced
+    independent columns keyed by leading bit, each tagged with the mask of
+    original columns that sums to it; they span the image.  kernel holds,
+    for each column f that reduces to zero, e_f plus the earlier independent
+    columns that sum to it, in column order.  That is the reduced-echelon
+    kernel basis, because the pivot columns of the reduced echelon form are
+    the leftmost independent columns (Edelsbrunner-Letscher-Zomorodian 2002,
+    Zomorodian-Carlsson 2005).
+    """
+    span = EchelonSpan()
+    kernel = []
+    for j, col in enumerate(columns):
+        residue, coords = span.reduce(col)
+        if residue:
+            span.insert(residue, coords | 1 << j)
+        else:
+            kernel.append(coords | 1 << j)
+    return span, tuple(kernel)
 
 
 def rank(m):
@@ -196,6 +194,9 @@ class EchelonSpan:
         self._rows = {}  # pivot bit index -> (vector, coord mask)
         self.n_tagged = 0
 
+    def __len__(self):
+        return len(self._rows)
+
     def reduce(self, v):
         coords = 0
         while v:
@@ -215,8 +216,18 @@ class EchelonSpan:
         if tagged:
             coords ^= 1 << self.n_tagged
             self.n_tagged += 1
-        self._rows[v.bit_length() - 1] = (v, coords)
+        self.insert(v, coords)
         return True
+
+    def insert(self, v, coords):
+        """Store v, nonzero and already reduced, with its coordinate mask."""
+        self._rows[v.bit_length() - 1] = (v, coords)
+
+    def untagged(self):
+        """A new span of the same vectors, with no tagged coordinates."""
+        out = EchelonSpan()
+        out._rows = {p: (v, 0) for p, (v, _) in self._rows.items()}
+        return out
 
 
 def homology_reps(d_out, d_in):
@@ -224,10 +235,10 @@ def homology_reps(d_out, d_in):
 
     Returns (reps, project) where reps is a list of cycle vectors giving a
     basis of ker(d_out)/im(d_in) and project(cycle) -> coordinate bitmask.
+    Both matrices keep their column reductions, so a differential passed as
+    d_in here and as d_out at the next degree is reduced once.
     """
-    span = EchelonSpan()
-    for col in d_in.transpose().data:
-        span.add(col, tagged=False)
+    span = d_in._reduction[0].untagged()
     reps = []
     for v in d_out.kernel_basis():
         if span.add(v, tagged=True):

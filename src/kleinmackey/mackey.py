@@ -512,6 +512,19 @@ def _atom_fingerprints(group):
                  for name in atoms)
 
 
+@lru_cache(maxsize=None)
+def _dead_coordinates(group):
+    """For each atom index i (and one past the last), the fingerprint
+    coordinates that are zero in every atom from i on."""
+    atoms = _atom_fingerprints(group)
+    live = [False] * len(atoms[0][1])
+    dead = [tuple(range(len(live)))]
+    for _, vec in reversed(atoms):
+        live = [seen or v > 0 for seen, v in zip(live, vec)]
+        dead.append(tuple(j for j, seen in enumerate(live) if not seen))
+    return tuple(reversed(dead))
+
+
 def identify(m):
     """Write m as a sum of catalog names by matching fingerprints.
 
@@ -526,19 +539,18 @@ def identify(m):
         return ()
     target = _flatten(fingerprint(m))
     atoms = _atom_fingerprints(m.group)
+    dead = _dead_coordinates(m.group)
 
     def dfs(idx, remaining):
-        if all(x == 0 for x in remaining):
-            return {}
-        if idx == len(atoms):
+        # a coordinate no later atom covers can never be cleared
+        if any(remaining[j] for j in dead[idx]):
             return None
+        if not any(remaining):
+            return {}
         name, vec = atoms[idx]
         bound = min((r // v for r, v in zip(remaining, vec) if v), default=0)
         for count in range(bound, -1, -1):
-            nxt = [r - count * v for r, v in zip(remaining, vec)]
-            if any(x < 0 for x in nxt):
-                continue
-            sol = dfs(idx + 1, nxt)
+            sol = dfs(idx + 1, [r - count * v for r, v in zip(remaining, vec)])
             if sol is not None:
                 if count:
                     sol[name] = count

@@ -1,9 +1,13 @@
 import io
+import itertools
 import json
 import os
 import re
+import time
 
-from kleinmackey.cli import main
+from kleinmackey import bredon
+from kleinmackey.cli import MAX_ORACLE_CELLS, main, oracle_cell_count
+from kleinmackey.reps import RepC2, RepK
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -119,6 +123,25 @@ def test_usage_errors(tmp_path, capsys):
         assert run(["verify", "--suite", suite, "--box", "-1"]) == (2, ""), suite
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_homotopy_size_guard(capsys):
+    for rep in ("0,200,200,200", f"0,{MAX_ORACLE_CELLS}"):
+        start = time.perf_counter()
+        assert run(["homotopy", "--rep", rep]) == (2, ""), rep
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(MAX_ORACLE_CELLS) in err
+
+
+def test_oracle_cell_count_matches_the_complex():
+    for b, c, d in itertools.product(range(-3, 4), repeat=3):
+        v = RepK(1, b, c, d)
+        assert oracle_cell_count(v) == bredon.sphere_complex(v).cell_count(), v
+    for b in range(-6, 7):
+        v = RepC2(-1, b)
+        assert oracle_cell_count(v) == bredon.sphere_complex(v).cell_count(), v
 
 
 def test_chart_svg_out(tmp_path):

@@ -104,11 +104,12 @@ def test_transpose_matches_entries(m):
 
 
 def _homology_reps_bitwise(d_out, d_in):
-    """homology_reps with the columns of d_in read one entry at a time."""
+    """homology_reps with the columns of d_in read one entry at a time and
+    the cycles taken from the row-elimination kernel basis."""
     span = EchelonSpan()
     for j in range(d_in.cols):
         span.add(sum(1 << i for i in range(d_in.rows) if d_in.entry(i, j)))
-    reps = [v for v in d_out.kernel_basis() if span.add(v, tagged=True)]
+    reps = [v for v in _reference_kernel_basis(d_out) if span.add(v, tagged=True)]
     return reps, span
 
 
@@ -136,3 +137,99 @@ def test_homology_reps_matches_bitwise_reference(pair):
     # both projections are linear, so agreeing on a basis of cycles suffices
     for cycle in d_out.kernel_basis():
         assert project(cycle) == ref_span.reduce(cycle)[1]
+
+
+# Dense row elimination, kept as the reference: the column reduction must
+# reproduce it exactly, with the same rank, the same kernel vectors in the
+# same order, and the same solution vector.
+
+
+def _reference_eliminate(m):
+    """Row-reduce a working copy; return (reduced rows, pivots as (row, col))."""
+    work = list(m.data)
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pivot = None
+        for i in range(r, len(work)):
+            if (work[i] >> c) & 1:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(len(work)):
+            if i != r and ((work[i] >> c) & 1):
+                work[i] ^= work[r]
+        pivots.append((r, c))
+        r += 1
+        if r == len(work):
+            break
+    return work, pivots
+
+
+def _reference_rank(m):
+    return len(_reference_eliminate(m)[1])
+
+
+def _reference_kernel_basis(m):
+    work, pivots = _reference_eliminate(m)
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for f in range(m.cols):
+        if f in pivot_cols:
+            continue
+        v = 1 << f
+        for r, c in pivots:
+            if (work[r] >> f) & 1:
+                v |= 1 << c
+        basis.append(v)
+    return tuple(basis)
+
+
+def _reference_solve(m, b):
+    aug = BitMatrix(m.rows, m.cols + 1,
+                    tuple(r | (((b >> i) & 1) << m.cols) for i, r in enumerate(m.data)))
+    work, pivots = _reference_eliminate(aug)
+    x = 0
+    for r, c in pivots:
+        if c == m.cols:
+            return None
+        if (work[r] >> m.cols) & 1:
+            x |= 1 << c
+    return x
+
+
+def wide_bit_matrices():
+    return st.tuples(st.integers(0, 12), st.integers(0, 12)).flatmap(
+        lambda shape: bit_matrices_of(*shape))
+
+
+@given(wide_bit_matrices())
+def test_rank_and_kernel_match_row_elimination(m):
+    assert m.rank() == _reference_rank(m)
+    assert m.kernel_basis() == _reference_kernel_basis(m)
+
+
+@st.composite
+def matrices_with_vectors(draw):
+    m = draw(wide_bit_matrices())
+    return (m, draw(st.integers(0, (1 << m.rows) - 1)),
+            draw(st.integers(0, (1 << m.cols) - 1)))
+
+
+@given(matrices_with_vectors())
+def test_solve_matches_row_elimination(case):
+    m, b, x = case
+    for rhs in (b, m.apply(x)):  # an arbitrary and a consistent right-hand side
+        assert m.solve(rhs) == _reference_solve(m, rhs)
+
+
+def test_zero_rows_and_columns_match_row_elimination():
+    for rows in range(4):
+        for cols in range(4):
+            for m in (BitMatrix.zeros(rows, cols), BitMatrix(rows, cols, tuple(
+                    (1 << cols) - 1 for _ in range(rows)))):
+                assert m.rank() == _reference_rank(m)
+                assert m.kernel_basis() == _reference_kernel_basis(m)
+                assert m.solve(0) == _reference_solve(m, 0) == 0

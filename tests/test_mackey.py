@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kleinmackey import bredon, sschart
+from kleinmackey import mackey as mk
 from kleinmackey.mackey import (CATALOG_ATOMS, DUAL_NAMES, catalog, catalog_c2,
                                 check_axioms, direct_sum, dual, expr_to_mackey,
                                 fingerprint, format_name_expr, hom_space,
@@ -238,17 +239,22 @@ def _chart_pairs():
 
 
 @lru_cache(maxsize=None)
-def _oracle_outputs(group):
-    """Identified oracle homotopy functors: Klein RepK(0, b, c, d) with
-    |b|, |c|, |d| <= 2 and C2 RepC2(0, b) with |b| <= 6."""
+def _oracle_functors(group):
+    """Oracle homotopy functors: Klein RepK(0, b, c, d) with |b|, |c|, |d| <= 2
+    and C2 RepC2(0, b) with |b| <= 6."""
     if group == "K":
         reps = [RepK(0, *bcd) for bcd in itertools.product(range(-2, 3), repeat=3)]
         coeffs = ("F", "F*", "m", "W", "mg*")
     else:
         reps = [RepC2(0, b) for b in range(-6, 7)]
         coeffs = ("F", "F*", "f", "g")
-    return [m for v in reps for c in coeffs
-            for m in bredon.homotopy(v, c).values() if identify(m) is not None]
+    return [m for v in reps for c in coeffs for m in bredon.homotopy(v, c).values()]
+
+
+@lru_cache(maxsize=None)
+def _oracle_outputs(group):
+    """The oracle functors of _oracle_functors that identify names."""
+    return [m for m in _oracle_functors(group) if identify(m) is not None]
 
 
 def test_rank_tuples_match_brute_force_on_chart_pairs():
@@ -309,3 +315,56 @@ def test_identify_names_an_isomorphic_functor():
     for group in ("K", "C2"):
         for m in _oracle_outputs(group):
             assert is_isomorphic(m, expr_to_mackey(identify(m), group))
+
+
+def _reference_identify(m):
+    """identify's depth-first search without pruning: it tries every count of
+    every atom, largest first, and skips a remainder with a negative entry."""
+    if m.is_zero():
+        return ()
+    target = mk._flatten(fingerprint(m))
+    atoms = mk._atom_fingerprints(m.group)
+
+    def dfs(idx, remaining):
+        if all(x == 0 for x in remaining):
+            return {}
+        if idx == len(atoms):
+            return None
+        name, vec = atoms[idx]
+        bound = min((r // v for r, v in zip(remaining, vec) if v), default=0)
+        for count in range(bound, -1, -1):
+            nxt = [r - count * v for r, v in zip(remaining, vec)]
+            if any(x < 0 for x in nxt):
+                continue
+            sol = dfs(idx + 1, nxt)
+            if sol is not None:
+                if count:
+                    sol[name] = count
+                return sol
+        return None
+
+    sol = dfs(0, target)
+    if sol is None:
+        return None
+    return tuple(sorted(sol.items()))
+
+
+def test_identify_matches_unpruned_search():
+    """Pruning dead branches keeps the first solution, named or not."""
+    checked = unnamed = 0
+    for group in ("K", "C2"):
+        for m in _oracle_functors(group):
+            expected = _reference_identify(m)
+            assert identify(m) == expected
+            checked += 1
+            unnamed += expected is None
+    rng = random.Random(7)
+    atoms = {"K": (CATALOG_ATOMS, catalog), "C2": (("F", "F*", "f", "g"), catalog_c2)}
+    for _ in range(400):
+        names, get = atoms[rng.choice(("K", "C2"))]
+        m = direct_sum([get(a) for a in rng.choices(names, k=rng.randint(1, 4))])
+        expected = _reference_identify(m)
+        assert identify(m) == expected
+        checked += 1
+        unnamed += expected is None
+    assert unnamed > 0 and checked > unnamed

@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+from pathlib import Path
 
 from kleinmackey import bredon as br
 from kleinmackey.mackey import (catalog, catalog_c2, direct_sum, dual,
@@ -323,3 +325,18 @@ def test_oracle_outputs_are_mackey_functors():
                      (2 * RHO_K, "f"), (RepK(1, 1, 1, 1), "W*")):
         for n, m in br.homotopy(v, coeff).items():
             assert check_axioms(m) == [], (v, coeff, n)
+
+
+def test_oracle_digest_on_a_small_box():
+    """scripts/oracle_digest.py over K |b|, |c|, |d| <= 1 and C2 |b| <= 2.
+
+    The pinned digest was computed with the dense row-elimination f2 and the
+    per-cell layout, before the column reduction: every complex, matrix and
+    homotopy functor of this box must stay byte-identical.
+    """
+    path = Path(__file__).resolve().parents[1] / "scripts" / "oracle_digest.py"
+    spec = importlib.util.spec_from_file_location("oracle_digest", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.oracle_digest(k_box=1, c2_box=2) == (
+        8153, "d87b093074b55689ebde8448375c3fb58eab3616aa6308925db2434983fdbb41")
