@@ -7,10 +7,13 @@ representation (0, b, c, d), in itertools.product order over b, c, d in
 
 - the cells and the entries of sphere_complex(v), sorted by degree;
 - for each coefficient (K: F, F*, m, W, mg*; C2: F, F*, f, g):
-  differential(lv, n) for n from the lowest cell degree to the highest
-  plus one (levels inner, in gd.levels order); then chain_res(u, lo, n)
-  and chain_tr(lo, u, n) for each cell degree n and each edge in gd.edges
-  order; then (n, m) for each homotopy functor in degree order.
+  the matrix of differential(lv, n) for n from the lowest cell degree to
+  the highest plus one (levels inner, in gd.levels order); then those of
+  chain_res(u, lo, n) and chain_tr(lo, u, n) for each cell degree n and
+  each edge in gd.edges order; then (n, m) for each homotopy functor in
+  degree order.  The oracle builds each map as its columns, so the matrix
+  hashed is its transpose: row i holds the coefficients of target basis
+  vector i.
 
 An optimisation of the oracle must leave every one of these objects, and so
 the digest, unchanged.  Run it from the repository root:
@@ -57,11 +60,11 @@ def oracle_digest(k_box=3, c2_box=6):
             lvl = bredon.with_coefficients(cx, coeff)
             for n in range(degs[0], degs[-1] + 2):
                 for lv in gd.levels:
-                    put(lvl.differential(lv, n))
+                    put(lvl.differential(lv, n).transpose())
             for n in degs:
                 for u, lo in gd.edges:
-                    put(lvl.chain_res(u, lo, n))
-                    put(lvl.chain_tr(lo, u, n))
+                    put(lvl.chain_res(u, lo, n).transpose())
+                    put(lvl.chain_tr(lo, u, n).transpose())
             for n, m in sorted(bredon.homotopy(v, coeff).items()):
                 put((n, m))
     return count, h.hexdigest()

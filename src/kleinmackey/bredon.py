@@ -8,7 +8,11 @@ complexes).  Evaluating at a subgroup level J with a coefficient functor m
 turns each cell into one copy of m(stab & J) per double coset.  Each entry,
 and with trans = 0 each level res/tr chain map, puts one block of m at the
 larger-stabilizer end's coset of r*trans for each coset r of the smaller end:
-the transfer up, or the restriction back.  Homology of those levelwise
+the transfer up, or the restriction back.  One placement's nonzero columns,
+relative to the two cells' offsets, form a stamp, made once per evaluated
+complex for each (res/tr, levels, stabilizers, translation).  Every map is
+assembled from stamps as its columns, the transpose of its matrix, which is
+the form f2's column reduction reads.  Homology of those levelwise
 complexes, with the induced restriction and transfer maps obtained by lifting
 cycles, is the graded homotopy Mackey functor.
 
@@ -212,10 +216,9 @@ def sphere_complex(v, group=None):
 # coefficients and homology
 
 
-class _Slot(NamedTuple):
-    """One cell's place in the basis of C_n at one level."""
+class _Shape(NamedTuple):
+    """The blocks of one cell at one level; they depend only on its stabilizer."""
 
-    off: int        # first basis index of the cell's blocks
     reps: tuple     # coset reps of the orbit at this level, in block order
     pos: tuple      # element g -> position of its coset in reps
     bdim: int       # coefficient dimension of one block
@@ -223,97 +226,140 @@ class _Slot(NamedTuple):
 
 
 class LevelComplexes:
-    """A cell complex evaluated with a coefficient functor at every level."""
+    """A cell complex evaluated with a coefficient functor at every level.
+
+    Every map comes as its columns, the form f2.homology_reps reads: row j
+    of the BitMatrix is the image of basis vector j of the source, so the
+    matrix is the transpose of the map.  A level is laid out when first read.
+    """
 
     def __init__(self, cx, coeff):
         if coeff.group != cx.group:
             raise ValueError("coefficient functor is over the wrong group")
         self.cx = cx
         self.coeff = coeff
-        gd = cx.gd
-        self.levels = gd.levels
-        # per level, per degree: one _Slot per cell
-        self.layout = {}
-        self.dims = {}
-        # nonzero rows (index, row) of the composite transfer m(lower) ->
-        # m(upper), or of the restriction back, by (transfer, upper, lower)
-        self._blocks = {}
-        stabs = {cell.stab for cs in cx.cells.values() for cell in cs}
-        for lv in self.levels:
-            # a cell's slot depends only on (level, stabilizer) up to its offset
-            shapes = {}
-            for stab in stabs:
-                join = gd.join(lv, stab)
-                meet = gd.meet(lv, stab)
-                shapes[stab] = (gd.cosets(join), gd.coset_index(join), coeff.dim(meet), meet)
-            self.layout[lv] = {}
-            self.dims[lv] = {}
-            for n, cs in cx.cells.items():
+        self._shapes = {}   # (level, stab) -> _Shape
+        self._layouts = {}  # level -> {degree: (offset of each cell, dim)}
+        self._entries = {}  # degree -> differential entries grouped by stamp
+        self._columns = {}  # (transfer, upper meet, lower meet) -> block columns
+        self._stamps = {}   # see _stamp
+
+    def _shape(self, lv, stab):
+        shape = self._shapes.get((lv, stab))
+        if shape is None:
+            gd = self.cx.gd
+            join = gd.join(lv, stab)
+            meet = gd.meet(lv, stab)
+            shape = self._shapes[(lv, stab)] = _Shape(
+                gd.cosets(join), gd.coset_index(join), self.coeff.dim(meet), meet)
+        return shape
+
+    def _layout(self, lv, n):
+        """First basis index of each cell of C_n(lv), and dim C_n(lv)."""
+        layout = self._layouts.get(lv)
+        if layout is None:
+            layout = self._layouts[lv] = {}
+            width = {}  # stabilizer -> basis vectors of one cell
+            for deg, cells in self.cx.cells.items():
+                offs = []
                 off = 0
-                per_cell = []
-                for cell in cs:
-                    reps, pos, bdim, meet = shapes[cell.stab]
-                    per_cell.append(_Slot(off, reps, pos, bdim, meet))
-                    off += len(reps) * bdim
-                self.layout[lv][n] = per_cell
-                self.dims[lv][n] = off
+                for cell in cells:
+                    offs.append(off)
+                    w = width.get(cell.stab)
+                    if w is None:
+                        shape = self._shape(lv, cell.stab)
+                        w = width[cell.stab] = len(shape.reps) * shape.bdim
+                    off += w
+                layout[deg] = (offs, off)
+        return layout.get(n, ((), 0))
 
     def dim(self, lv, n):
-        return self.dims[lv].get(n, 0)
+        return self._layout(lv, n)[1]
 
-    def _assemble(self, rows, cols, placements):
-        """Matrix built from (small, big, trans, transfer) slot placements.
+    def _stamp(self, transfer, src_lv, src_stab, tgt_lv, tgt_stab, trans):
+        """Nonzero (column, bits) of one placement from a source cell's
+        blocks to a target cell's, relative to the two cells' offsets.
 
-        Each puts one block per coset r of the smaller-stabilizer slot at the
-        larger slot's coset of r*trans: the transfer m(small) -> m(big), or
-        the restriction back at the transposed position.  A block is kept as
-        its nonzero rows, so an empty or zero block places nothing and a 1x1
-        identity is one bit flip.
+        The placement puts one block per coset r of the smaller-stabilizer
+        end at the larger end's coset of r*trans: the transfer from the
+        source (the smaller end) or the restriction from it (the larger).
         """
-        data = [0] * rows
-        blocks = self._blocks
-        for small, big, trans, transfer in placements:
-            if not (small.bdim and big.bdim):
-                continue
-            key = (transfer, big.meet, small.meet)
-            block = blocks.get(key)
-            if block is None:
-                block = (self.coeff.tr_map(small.meet, big.meet) if transfer
-                         else self.coeff.res_map(big.meet, small.meet))
-                block = blocks[key] = tuple((i, row) for i, row in enumerate(block.data)
-                                            if row)
-            if not block:
-                continue
-            s_pos, s_dim = small.off, small.bdim
-            b_off, b_dim, pos = big.off, big.bdim, big.pos
-            for rep in small.reps:
-                b_pos = b_off + pos[rep ^ trans] * b_dim
-                row_off, col_off = (b_pos, s_pos) if transfer else (s_pos, b_pos)
-                for r, row in block:
-                    data[row_off + r] ^= row << col_off
-                s_pos += s_dim
-        return BitMatrix(rows, cols, tuple(data))
+        key = (transfer, src_lv, src_stab, tgt_lv, tgt_stab, trans)
+        stamp = self._stamps.get(key)
+        if stamp is not None:
+            return stamp
+        small = self._shape(src_lv, src_stab)
+        big = self._shape(tgt_lv, tgt_stab)
+        if not transfer:
+            small, big = big, small
+        bits_of = {}
+        if small.bdim and big.bdim:
+            cols = self._block_columns(transfer, big.meet, small.meet)
+            for k, rep in enumerate(small.reps):
+                s_pos, b_pos = k * small.bdim, big.pos[rep ^ trans] * big.bdim
+                col_off, row_off = (s_pos, b_pos) if transfer else (b_pos, s_pos)
+                for c, col in cols:
+                    bits_of[col_off + c] = bits_of.get(col_off + c, 0) ^ col << row_off
+        stamp = self._stamps[key] = tuple(
+            (c, bits) for c, bits in sorted(bits_of.items()) if bits)
+        return stamp
+
+    def _block_columns(self, transfer, upper, lower):
+        """Nonzero columns (index, column) of the composite transfer
+        m(lower) -> m(upper), or of the restriction back."""
+        key = (transfer, upper, lower)
+        cols = self._columns.get(key)
+        if cols is None:
+            block = (self.coeff.tr_map(lower, upper) if transfer
+                     else self.coeff.res_map(upper, lower))
+            cols = self._columns[key] = tuple(
+                (c, col) for c, col in enumerate(block.transpose().data) if col)
+        return cols
+
+    def _grouped_entries(self, n):
+        """The entries of d: C_n -> C_{n-1} as [(stamp key, [(src, tgt)])],
+        the key (transfer, source stabilizer, target stabilizer, trans)."""
+        groups = self._entries.get(n)
+        if groups is None:
+            srcs, tgts = self.cx.cells.get(n, ()), self.cx.cells.get(n - 1, ())
+            by_key = {}
+            for src, tgt, kind, trans in self.cx.entries.get(n, ()):
+                key = (kind == "up", srcs[src].stab, tgts[tgt].stab, trans)
+                by_key.setdefault(key, []).append((src, tgt))
+            groups = self._entries[n] = list(by_key.items())
+        return groups
 
     def differential(self, lv, n):
-        """Matrix of d: C_n(lv) -> C_{n-1}(lv)."""
-        srcs = self.layout[lv].get(n, [])
-        tgts = self.layout[lv].get(n - 1, [])
-        return self._assemble(self.dim(lv, n - 1), self.dim(lv, n), [
-            (srcs[src], tgts[tgt], trans, True) if kind == "up"
-            else (tgts[tgt], srcs[src], trans, False)
-            for src, tgt, kind, trans in self.cx.entries.get(n, ())])
+        """d: C_n(lv) -> C_{n-1}(lv), as its columns."""
+        src_offs, src_dim = self._layout(lv, n)
+        tgt_offs, tgt_dim = self._layout(lv, n - 1)
+        data = [0] * src_dim
+        for (transfer, src_stab, tgt_stab, trans), pairs in self._grouped_entries(n):
+            stamp = self._stamp(transfer, lv, src_stab, lv, tgt_stab, trans)
+            if not stamp:
+                continue
+            for src, tgt in pairs:
+                col_off, row_off = src_offs[src], tgt_offs[tgt]
+                for c, bits in stamp:
+                    data[col_off + c] ^= bits << row_off
+        return BitMatrix(src_dim, tgt_dim, tuple(data))
 
     def chain_res(self, upper, lower, n):
-        """Restriction chain map C_n(upper) -> C_n(lower)."""
-        pairs = zip(self.layout[lower].get(n, ()), self.layout[upper].get(n, ()))
-        return self._assemble(self.dim(lower, n), self.dim(upper, n),
-                              [(lo, u, 0, False) for lo, u in pairs])
+        """Restriction chain map C_n(upper) -> C_n(lower), as its columns."""
+        return self._chain_map(False, upper, lower, n)
 
     def chain_tr(self, lower, upper, n):
-        """Transfer chain map C_n(lower) -> C_n(upper)."""
-        pairs = zip(self.layout[lower].get(n, ()), self.layout[upper].get(n, ()))
-        return self._assemble(self.dim(upper, n), self.dim(lower, n),
-                              [(lo, u, 0, True) for lo, u in pairs])
+        """Transfer chain map C_n(lower) -> C_n(upper), as its columns."""
+        return self._chain_map(True, lower, upper, n)
+
+    def _chain_map(self, transfer, src_lv, tgt_lv, n):
+        src_offs, src_dim = self._layout(src_lv, n)
+        tgt_offs, tgt_dim = self._layout(tgt_lv, n)
+        data = [0] * src_dim
+        for cell, col_off, row_off in zip(self.cx.cells.get(n, ()), src_offs, tgt_offs):
+            for c, bits in self._stamp(transfer, src_lv, cell.stab, tgt_lv, cell.stab, 0):
+                data[col_off + c] ^= bits << row_off
+        return BitMatrix(src_dim, tgt_dim, tuple(data))
 
 
 def with_coefficients(cx, coeff):
@@ -328,7 +374,9 @@ def homology(lvl: LevelComplexes, levels=None):
 
     Returns {degree: Mackey}; restriction and transfer matrices on homology
     come from the chain-level maps applied to cycle representatives and
-    projected back to homology coordinates.
+    projected back to homology coordinates.  A chain map is built only where
+    the source has homology and the target too; elsewhere the induced matrix
+    is empty.
     """
     cx = lvl.cx
     gd = cx.gd
@@ -337,41 +385,36 @@ def homology(lvl: LevelComplexes, levels=None):
         return {}
     degs = cx.degrees()
     lo, hi = degs[0], degs[-1]
-    reps = {}
-    projs = {}
-    hdims = {}
+    hom = {}  # (level, degree) -> (cycle reps, projection)
     for lv in wanted:
         d_of = {n: lvl.differential(lv, n) for n in range(lo, hi + 2)}
         for n in range(lo, hi + 1):
-            r, p = homology_reps(d_of[n], d_of[n + 1])
-            reps[(lv, n)] = r
-            projs[(lv, n)] = p
-            hdims[(lv, n)] = len(r)
+            hom[(lv, n)] = homology_reps(d_of[n], d_of[n + 1])
     out = {}
     partial = set(wanted) != set(gd.levels)
     for n in range(lo, hi + 1):
-        if all(hdims[(lv, n)] == 0 for lv in wanted):
+        dims = tuple(len(hom[(lv, n)][0]) if (lv, n) in hom else 0 for lv in gd.levels)
+        if not any(dims):
             continue
-        dims = tuple(hdims.get((lv, n), 0) for lv in gd.levels)
         if partial:
             out[n] = dims  # dimension vector only
             continue
-        res = []
-        tr = []
-        for u, lo_lv in gd.edges:
-            rmat = _induced(lvl.chain_res(u, lo_lv, n), reps[(u, n)],
-                            projs[(lo_lv, n)], hdims[(lo_lv, n)])
-            tmat = _induced(lvl.chain_tr(lo_lv, u, n), reps[(lo_lv, n)],
-                            projs[(u, n)], hdims[(u, n)])
-            res.append(rmat)
-            tr.append(tmat)
-        out[n] = Mackey(cx.group, dims, tuple(res), tuple(tr))
+        res = tuple(_induced(lvl.chain_res, u, lo_lv, n, hom) for u, lo_lv in gd.edges)
+        tr = tuple(_induced(lvl.chain_tr, lo_lv, u, n, hom) for u, lo_lv in gd.edges)
+        out[n] = Mackey(cx.group, dims, res, tr)
     return out
 
 
-def _induced(chain_map, src_reps, tgt_proj, tgt_dim):
-    cols = tuple(tgt_proj(chain_map.apply(v)) for v in src_reps)
-    return BitMatrix(len(src_reps), tgt_dim, cols).transpose()
+def _induced(chain_map, src, tgt, n, hom):
+    """The map chain_map(src, tgt, n) induces on homology, as a matrix."""
+    src_reps = hom[(src, n)][0]
+    tgt_reps, project = hom[(tgt, n)]
+    if not (src_reps and tgt_reps):
+        return BitMatrix.zeros(len(tgt_reps), len(src_reps))
+    cmap = chain_map(src, tgt, n)
+    images = (BitMatrix(len(src_reps), cmap.rows, tuple(src_reps)) @ cmap).data
+    return BitMatrix(len(src_reps), len(tgt_reps),
+                     tuple(project(v) for v in images)).transpose()
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,7 @@ class UsageError(Exception):
 
 # The largest sphere the oracle engine takes, counted in cells of its complex.
 # At this size a --coeff F query takes about a minute: 35(alpha+beta+gamma),
-# 89531 cells, took 55 s on a 2-core x86-64 host with Python 3.11.
+# 89531 cells, took 47-59 s on a 2-core x86-64 host with Python 3.11.
 MAX_ORACLE_CELLS = 90000
 
 

@@ -5,8 +5,11 @@ XOR no matter how wide the matrix is.  Matrices act on column vectors,
 which are also int bitmasks: bit j of a vector is coordinate j.
 
 Rank, kernel basis, solving and the image used by homology all come from one
-routine, column_reduction.  Boundary matrices have two to four nonzeros per
-column, so reducing them is close to linear in their size.
+routine, column_reduction, which reads a list of column vectors.  A matrix's
+rows are its transpose's columns, so homology_reps takes each differential
+by its columns, stored as the rows of its transpose, and reduces them with
+no transpose.  Boundary matrices have two to four nonzeros per column, so
+reducing them is close to linear in their size.
 """
 
 from __future__ import annotations
@@ -120,10 +123,11 @@ class BitMatrix:
         return BitMatrix(rows, cols, tuple(data))
 
     @cached_property
-    def _reduction(self):
-        # Kept on the matrix, so it lives and dies with it: homology reads a
-        # differential's image at one degree and its kernel at the next.
-        return column_reduction(self.transpose().data)
+    def _row_reduction(self):
+        # Kept on the matrix, so it lives and dies with it: homology_reps
+        # reads a differential's image at one degree and its kernel at the
+        # next, and takes each differential as its columns, the rows here.
+        return column_reduction(self.data)
 
     def rank(self):
         # Row rank equals column rank, and the rows need no transpose.  Not
@@ -133,14 +137,15 @@ class BitMatrix:
 
     def kernel_basis(self):
         """Basis of {v : self @ v = 0}, as column-vector bitmasks."""
-        return self._reduction[1]
+        return column_reduction(self.transpose().data)[1]
 
     def solve(self, b):
         """One solution x of self @ x = b, or None if inconsistent.
 
         The solution is the one supported on the independent columns.
         """
-        residue, x = self._reduction[0].reduce(b & ((1 << self.rows) - 1))
+        span = column_reduction(self.transpose().data)[0]
+        residue, x = span.reduce(b & ((1 << self.rows) - 1))
         return None if residue else x
 
 
@@ -233,14 +238,17 @@ class EchelonSpan:
 def homology_reps(d_out, d_in):
     """Homology at the middle of  C_in --d_in--> C --d_out--> C_out.
 
-    Returns (reps, project) where reps is a list of cycle vectors giving a
-    basis of ker(d_out)/im(d_in) and project(cycle) -> coordinate bitmask.
-    Both matrices keep their column reductions, so a differential passed as
-    d_in here and as d_out at the next degree is reduced once.
+    Each differential is given by its columns, as the transpose of its
+    matrix: row j of d_out is the image of basis vector j of C, and row j
+    of d_in that of basis vector j of C_in.  Returns (reps, project) where
+    reps is a list of cycle vectors giving a basis of ker(d_out)/im(d_in)
+    and project(cycle) -> coordinate bitmask.  Both matrices keep their
+    reductions, so a differential passed as d_in here and as d_out at the
+    next degree is reduced once.
     """
-    span = d_in._reduction[0].untagged()
+    span = d_in._row_reduction[0].untagged()
     reps = []
-    for v in d_out.kernel_basis():
+    for v in d_out._row_reduction[1]:
         if span.add(v, tagged=True):
             reps.append(v)
 

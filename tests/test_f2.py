@@ -61,10 +61,11 @@ def test_solve():
 
 
 def test_homology_reps_chain():
-    # 0 -> F2^2 --[1 1]--> F2 -> 0 has homology (0, 1-dim) in the two spots
+    # 0 -> F2^2 --[1 1]--> F2 -> 0 has homology (0, 1-dim) in the two spots;
+    # homology_reps takes each differential as its transpose
     d_out = M([[1, 1]], 2)
     d_in = BitMatrix.zeros(2, 0)
-    reps, project = homology_reps(d_out, d_in)
+    reps, project = homology_reps(d_out.transpose(), d_in.transpose())
     assert len(reps) == 1
     assert project(reps[0]) == 1
 
@@ -131,7 +132,7 @@ def chain_pairs(draw):
 @given(chain_pairs())
 def test_homology_reps_matches_bitwise_reference(pair):
     d_out, d_in = pair
-    reps, project = homology_reps(d_out, d_in)
+    reps, project = homology_reps(d_out.transpose(), d_in.transpose())
     ref_reps, ref_span = _homology_reps_bitwise(d_out, d_in)
     assert reps == ref_reps
     # both projections are linear, so agreeing on a basis of cycles suffices

@@ -3,7 +3,8 @@ import itertools
 from pathlib import Path
 
 from kleinmackey import bredon as br
-from kleinmackey.mackey import (catalog, catalog_c2, direct_sum, dual,
+from kleinmackey.f2 import BitMatrix
+from kleinmackey.mackey import (Mackey, catalog, catalog_c2, direct_sum, dual,
                                 fingerprint, format_name_expr, identify)
 from kleinmackey.reps import RHO_K, RepC2, RepK
 
@@ -215,7 +216,10 @@ def test_sphere_complex_examples():
 
 def _check_d_squared_zero_and_chain_maps(group, coeff, box):
     """d^2 = 0 at every level, and res/tr commute with d, on S^(0,b,c,d)
-    over K or S^(b sigma) over C2, with b, c, d in box."""
+    over K or S^(b sigma) over C2, with b, c, d in box.
+
+    The oracle gives each map as its transpose, so each equation is checked
+    transposed: (d_n d_{n+1})^T = d_{n+1}^T d_n^T."""
     if group == "K":
         spheres = [RepK(0, b, c, d) for b, c, d in itertools.product(box, repeat=3)]
     else:
@@ -229,17 +233,17 @@ def _check_d_squared_zero_and_chain_maps(group, coeff, box):
             for n in degs:
                 dn = lv.differential(level, n)
                 dn1 = lv.differential(level, n + 1)
-                assert (dn @ dn1).is_zero(), (coeff, v, level, n)
+                assert (dn1 @ dn).is_zero(), (coeff, v, level, n)
         for upper, lower in gd.edges:
             for n in degs:
                 dn_u = lv.differential(upper, n)
                 dn_l = lv.differential(lower, n)
                 res_n = lv.chain_res(upper, lower, n)
                 res_n1 = lv.chain_res(upper, lower, n - 1)
-                assert res_n1 @ dn_u == dn_l @ res_n, (coeff, v, upper, lower, n)
+                assert dn_u @ res_n1 == res_n @ dn_l, (coeff, v, upper, lower, n)
                 tr_n = lv.chain_tr(lower, upper, n)
                 tr_n1 = lv.chain_tr(lower, upper, n - 1)
-                assert tr_n1 @ dn_l == dn_u @ tr_n, (coeff, v, upper, lower, n)
+                assert dn_l @ tr_n1 == tr_n @ dn_u, (coeff, v, upper, lower, n)
 
 
 def test_d_squared_zero_and_mackey_chain_maps():
@@ -314,8 +318,9 @@ def test_d_squared_zero_at_box_corners():
         lv = br.with_coefficients(cx, "F")
         for level in cx.gd.levels:
             for n in cx.degrees():
-                assert (lv.differential(level, n) @
-                        lv.differential(level, n + 1)).is_zero()
+                # (d_n d_{n+1})^T = d_{n+1}^T d_n^T, as the oracle gives d^T
+                assert (lv.differential(level, n + 1) @
+                        lv.differential(level, n)).is_zero()
 
 
 def test_oracle_outputs_are_mackey_functors():
@@ -340,3 +345,136 @@ def test_oracle_digest_on_a_small_box():
     spec.loader.exec_module(script)
     assert script.oracle_digest(k_box=1, c2_box=2) == (
         8153, "d87b093074b55689ebde8448375c3fb58eab3616aa6308925db2434983fdbb41")
+
+
+def _reference_slots(cx, coeff, level, n):
+    """Each cell's (offset, coset reps, join, block dim, meet) in C_n(level),
+    laid out cell by cell, and dim C_n(level)."""
+    gd = cx.gd
+    slots, off = [], 0
+    for cell in cx.cells.get(n, ()):
+        join, meet = gd.join(level, cell.stab), gd.meet(level, cell.stab)
+        reps = gd.cosets(join)
+        slots.append((off, reps, join, coeff.dim(meet), meet))
+        off += len(reps) * coeff.dim(meet)
+    return slots, off
+
+
+def _reference_place(cx, coeff, cols, small, big, trans, transfer):
+    """The placement rule read one bit at a time: one block per coset r of
+    the smaller-stabilizer slot, at the larger slot's coset of r*trans; the
+    transfer from small to big, or the restriction from big to small.  The
+    map is kept as its columns: bit i of cols[j] is entry (i, j)."""
+    gd = cx.gd
+    s_off, s_reps, _, s_dim, s_meet = small
+    b_off, b_reps, b_join, b_dim, b_meet = big
+    block = coeff.tr_map(s_meet, b_meet) if transfer else coeff.res_map(b_meet, s_meet)
+    for k, rep in enumerate(s_reps):
+        s_pos = s_off + k * s_dim
+        b_at = next(i for i, r in enumerate(b_reps) if rep ^ trans ^ r in gd.subgroups[b_join])
+        b_pos = b_off + b_at * b_dim
+        for i in range(block.rows):
+            for j in range(block.cols):
+                if block.entry(i, j):
+                    if transfer:
+                        cols[s_pos + j] ^= 1 << (b_pos + i)
+                    else:
+                        cols[b_pos + j] ^= 1 << (s_pos + i)
+
+
+def _reference_differential(cx, coeff, level, n):
+    srcs, src_dim = _reference_slots(cx, coeff, level, n)
+    tgts, tgt_dim = _reference_slots(cx, coeff, level, n - 1)
+    cols = [0] * src_dim
+    for src, tgt, kind, trans in cx.entries.get(n, ()):
+        if kind == "up":
+            _reference_place(cx, coeff, cols, srcs[src], tgts[tgt], trans, True)
+        else:
+            _reference_place(cx, coeff, cols, tgts[tgt], srcs[src], trans, False)
+    return BitMatrix(src_dim, tgt_dim, tuple(cols))
+
+
+def _reference_chain_map(cx, coeff, upper, lower, n, transfer):
+    uppers, u_dim = _reference_slots(cx, coeff, upper, n)
+    lowers, l_dim = _reference_slots(cx, coeff, lower, n)
+    cols = [0] * (l_dim if transfer else u_dim)
+    for lo_slot, u_slot in zip(lowers, uppers):
+        _reference_place(cx, coeff, cols, lo_slot, u_slot, 0, transfer)
+    return BitMatrix(len(cols), u_dim if transfer else l_dim, tuple(cols))
+
+
+def _check_maps_match_reference(spheres, coeffs):
+    for v in spheres:
+        cx = br.sphere_complex(v)
+        gd = cx.gd
+        degs = range(cx.degrees()[0], cx.degrees()[-1] + 2)
+        for coeff in coeffs:
+            lv = br.with_coefficients(cx, coeff)
+            for level, n in itertools.product(gd.levels, degs):
+                assert lv.differential(level, n) == \
+                    _reference_differential(cx, lv.coeff, level, n), (v, coeff, level, n)
+            for (upper, lower), n in itertools.product(gd.edges, degs):
+                assert lv.chain_res(upper, lower, n) == _reference_chain_map(
+                    cx, lv.coeff, upper, lower, n, False), (v, coeff, upper, lower, n)
+                assert lv.chain_tr(lower, upper, n) == _reference_chain_map(
+                    cx, lv.coeff, upper, lower, n, True), (v, coeff, upper, lower, n)
+
+
+def test_maps_match_entrywise_placement():
+    # dualized spheres put "down" entries, and so restrictions, in d
+    box = range(-2, 3)
+    _check_maps_match_reference([RepK(0, b, c, d) for b, c, d in itertools.product(box, repeat=3)],
+                                ("F", "F*", "m", "mg", "mg*", "W"))
+    _check_maps_match_reference([RepC2(0, b) for b in range(-4, 5)], ("F", "F*", "f", "g"))
+
+
+def _reference_homology(lvl):
+    """br.homology with every chain map assembled and applied."""
+    cx = lvl.cx
+    gd = cx.gd
+    degs = cx.degrees()
+    hom = {}
+    for level in gd.levels:
+        for n in degs:
+            hom[(level, n)] = br.homology_reps(lvl.differential(level, n),
+                                               lvl.differential(level, n + 1))
+
+    def induced(cmap, src, tgt, n):
+        reps, (tgt_reps, project) = hom[(src, n)][0], hom[(tgt, n)]
+        cols = []
+        for v in reps:
+            image = 0
+            for j in range(cmap.rows):
+                if v >> j & 1:
+                    image ^= cmap.data[j]
+            cols.append(project(image))
+        return BitMatrix(len(reps), len(tgt_reps), tuple(cols)).transpose()
+
+    out = {}
+    for n in degs:
+        dims = tuple(len(hom[(level, n)][0]) for level in gd.levels)
+        if any(dims):
+            res = tuple(induced(lvl.chain_res(u, lo, n), u, lo, n) for u, lo in gd.edges)
+            tr = tuple(induced(lvl.chain_tr(lo, u, n), lo, u, n) for u, lo in gd.edges)
+            out[n] = Mackey(cx.group, dims, res, tr)
+    return out
+
+
+def test_skipped_chain_maps_change_nothing():
+    box = range(-2, 3)
+    cases = [(RepK(0, b, c, d), ("F", "F*", "m", "W", "mg*"))
+             for b, c, d in itertools.product(box, repeat=3)]
+    cases += [(RepC2(0, b), ("F", "F*", "f", "g")) for b in range(-6, 7)]
+    for v, coeffs in cases:
+        cx = br.sphere_complex(v)
+        for coeff in coeffs:
+            full = br.homology(br.with_coefficients(cx, coeff))
+            assert repr(full) == repr(_reference_homology(br.with_coefficients(cx, coeff))), \
+                (v, coeff)
+            # one level alone, on a complex with no other level laid out
+            for j, level in enumerate(cx.gd.levels):
+                alone = br.homology(br.with_coefficients(cx, coeff), levels=(level,))
+                assert {n: dims[j] for n, dims in alone.items()} == \
+                    {n: m.dims[j] for n, m in full.items() if m.dims[j]}, (v, coeff, level)
+                assert all(d == 0 for dims in alone.values()
+                           for i, d in enumerate(dims) if i != j), (v, coeff, level)
