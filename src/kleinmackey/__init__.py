@@ -6,9 +6,8 @@ cells and towers of integer suspensions of the constant functor, and the
 slice spectral sequence charts with their differential patterns.
 """
 
-from .bredon import (elementary_complex, homotopy, homotopy_level_series,
-                     smash, sphere_complex, trivial_suspension, with_coefficients,
-                     dualize, homology)
+from .bredon import (homotopy, homotopy_level_series, smash, sphere_complex,
+                     trivial_suspension, with_coefficients, dualize, homology)
 from .f2 import BitMatrix, kernel_basis, quotient_dims, rank
 from .hk import poincare, poincare_C2, poincare_K
 from .laurent import LaurentPoly, geom

@@ -24,7 +24,6 @@ everything small enough that sweeping thousands of representations is cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from .f2 import BitMatrix, homology_reps
@@ -68,19 +67,10 @@ class MackeyComplex:
         return sum(len(cs) for cs in self.cells.values())
 
 
-def unit_complex(group="K"):
-    return trivial_suspension(0, group)
-
-
 def trivial_suspension(k, group="K"):
     """A single fixed cell in degree k."""
     top = group_by_name(group).levels[0]
     return MackeyComplex(group, {k: [Cell(k, top)]}, {})
-
-
-def elementary_complex(char, group="K"):
-    """Reduced cells of the one-character sphere: fixed point plus one orbit."""
-    return character_sphere(char, 1, group)
 
 
 def character_sphere(char, n, group="K"):
@@ -91,7 +81,7 @@ def character_sphere(char, n, group="K"):
     fold map, the higher ones are 1 + translation.  Negative n dualizes.
     """
     if n == 0:
-        return unit_complex(group)
+        return trivial_suspension(0, group)
     if n < 0:
         return dualize(character_sphere(char, -n, group))
     gd = group_by_name(group)
@@ -197,10 +187,10 @@ def smash(c1, c2):
     return MackeyComplex(c1.group, cells, entries)
 
 
-def sphere_complex(v, group=None):
+def sphere_complex(v):
     """Cell complex of the virtual-representation sphere S^V."""
     if isinstance(v, RepK):
-        group, powers = group or "K", (("alpha", v.b), ("beta", v.c), ("gamma", v.d))
+        group, powers = "K", (("alpha", v.b), ("beta", v.c), ("gamma", v.d))
     elif isinstance(v, RepC2):
         group, powers = "C2", (("sigma", v.b),)
     else:
@@ -369,7 +359,7 @@ def with_coefficients(cx, coeff):
     return LevelComplexes(cx, coeff)
 
 
-def homology(lvl: LevelComplexes, levels=None):
+def homology(lvl: LevelComplexes):
     """Graded homotopy Mackey functors of the evaluated complex.
 
     Returns {degree: Mackey}; restriction and transfer matrices on homology
@@ -378,37 +368,38 @@ def homology(lvl: LevelComplexes, levels=None):
     the source has homology and the target too; elsewhere the induced matrix
     is empty.
     """
-    cx = lvl.cx
-    gd = cx.gd
-    wanted = levels or gd.levels
-    if not cx.cells:
-        return {}
-    degs = cx.degrees()
-    lo, hi = degs[0], degs[-1]
-    hom = {}  # (level, degree) -> (cycle reps, projection)
-    for lv in wanted:
-        d_of = {n: lvl.differential(lv, n) for n in range(lo, hi + 2)}
-        for n in range(lo, hi + 1):
-            hom[(lv, n)] = homology_reps(d_of[n], d_of[n + 1])
+    gd = lvl.cx.gd
+    hom = {lv: _level_homology(lvl, lv) for lv in gd.levels}
     out = {}
-    partial = set(wanted) != set(gd.levels)
-    for n in range(lo, hi + 1):
-        dims = tuple(len(hom[(lv, n)][0]) if (lv, n) in hom else 0 for lv in gd.levels)
+    for n in hom[gd.levels[0]]:
+        dims = tuple(len(hom[lv][n][0]) for lv in gd.levels)
         if not any(dims):
-            continue
-        if partial:
-            out[n] = dims  # dimension vector only
             continue
         res = tuple(_induced(lvl.chain_res, u, lo_lv, n, hom) for u, lo_lv in gd.edges)
         tr = tuple(_induced(lvl.chain_tr, lo_lv, u, n, hom) for u, lo_lv in gd.edges)
-        out[n] = Mackey(cx.group, dims, res, tr)
+        out[n] = Mackey(lvl.cx.group, dims, res, tr)
+    return out
+
+
+def _level_homology(lvl, lv):
+    """{degree: (cycle reps, projection)} of the complex at one level, for
+    every degree from its lowest cell to its highest."""
+    degs = lvl.cx.degrees()
+    if not degs:
+        return {}
+    out = {}
+    d_out = lvl.differential(lv, degs[0])
+    for n in range(degs[0], degs[-1] + 1):
+        d_in = lvl.differential(lv, n + 1)
+        out[n] = homology_reps(d_out, d_in)
+        d_out = d_in
     return out
 
 
 def _induced(chain_map, src, tgt, n, hom):
     """The map chain_map(src, tgt, n) induces on homology, as a matrix."""
-    src_reps = hom[(src, n)][0]
-    tgt_reps, project = hom[(tgt, n)]
+    src_reps = hom[src][n][0]
+    tgt_reps, project = hom[tgt][n]
     if not (src_reps and tgt_reps):
         return BitMatrix.zeros(len(tgt_reps), len(src_reps))
     cmap = chain_map(src, tgt, n)
@@ -417,26 +408,21 @@ def _induced(chain_map, src, tgt, n, hom):
                      tuple(project(v) for v in images)).transpose()
 
 
-@lru_cache(maxsize=None)
-def _homotopy_cached(v, name):
-    return homology(with_coefficients(sphere_complex(v), name))
-
-
 def homotopy(v, coeff="F"):
-    """Graded homotopy Mackey functors of the coeff-twisted sphere S^V.
+    """Graded homotopy Mackey functors of the coeff-twisted sphere S^V, as
+    {degree: Mackey}.
 
-    coeff may be a catalog name expression or an explicit functor.
+    coeff may be a catalog name expression or an explicit functor.  Each
+    call builds and evaluates the sphere's complex afresh.
     """
-    if isinstance(coeff, str):
-        return dict(_homotopy_cached(v, coeff))
     return homology(with_coefficients(sphere_complex(v), coeff))
 
 
 def homotopy_level_series(v, coeff="F", level=None):
-    """Laurent series of graded dimensions at one level (fast path)."""
-    cx = sphere_complex(v)
-    lv = with_coefficients(cx, coeff)
-    level = level or cx.gd.levels[0]
-    idx = cx.gd.levels.index(level)
-    table = homology(lv, levels=(level,))
-    return LaurentPoly.from_dict({n: dims[idx] for n, dims in table.items()})
+    """Laurent series of the graded dimensions of homotopy(v, coeff) at one
+    level, the top one by default.  Only that level is evaluated, and no
+    restriction or transfer is built."""
+    lvl = with_coefficients(sphere_complex(v), coeff)
+    level = level or lvl.cx.gd.levels[0]
+    return LaurentPoly.from_dict(
+        {n: len(reps) for n, (reps, _) in _level_homology(lvl, level).items()})

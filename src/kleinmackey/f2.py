@@ -131,8 +131,8 @@ class BitMatrix:
 
     def rank(self):
         # Row rank equals column rank, and the rows need no transpose.  Not
-        # kept: ranked matrices are often the maps of functors that stay in
-        # a memo, and their reductions would stay with them.
+        # kept: ranked matrices are often the maps of long-lived functors,
+        # such as the catalog's, and their reductions would stay with them.
         return len(column_reduction(self.data)[0])
 
     def kernel_basis(self):

@@ -236,10 +236,10 @@ _C2 = _c2_table()
 
 
 def catalog_c2(name):
-    try:
+    """A named C2 functor, including sums like "F* + f"."""
+    if name in _C2:
         return _C2[name]
-    except KeyError:
-        raise ValueError(f"unknown C2 catalog name {name!r}") from None
+    return expr_to_mackey(parse_name_expr(name, "C2"), "C2")
 
 
 def _k_table():
@@ -473,6 +473,8 @@ def fingerprint(m):
               for i, j in ((0, 1), (0, 2), (1, 2))),
         _stack(res_low, "h").rank(),
         m.res_map("K", "e").rank(),
+        # the images of res K>h and tr e>h together span this much of m(h)
+        tuple(_stack([r, t], "h").rank() for r, t in zip(res_down, tr_low)),
     )
     tr_part = (
         tuple(x.rank() for x in tr_up) + tuple(x.rank() for x in tr_low),
@@ -481,6 +483,7 @@ def fingerprint(m):
               for i, j in ((0, 1), (0, 2), (1, 2))),
         _stack(tr_low, "v").rank(),
         m.tr_map("e", "K").rank(),
+        tuple(_stack([t, r], "v").rank() for t, r in zip(tr_up, res_low)),
     )
     mixed = tuple((m.res_edge("K", h1) @ m.tr_edge("K", h2)).rank()
                   for h1 in cyc for h2 in cyc) + \
@@ -497,11 +500,8 @@ def _flatten(x):
     return [x]
 
 
-_IDENTIFY_ATOMS_K = (
-    "F", "F*", "W", "W*", "mg", "mg*", "m", "m*", "w", "w*",
-    "phiL(F)", "phiD(F)", "phiR(F)", "phiL(F*)", "phiD(F*)", "phiR(F*)",
-    "phiL(f)", "phiD(f)", "phiR(f)", "f", "g",
-)
+# the atoms in display order; phiLDR(X) is the sum of three of them
+_IDENTIFY_ATOMS_K = tuple(n for n in _DISPLAY_ORDER if not n.startswith("phiLDR"))
 
 
 @lru_cache(maxsize=None)
@@ -529,10 +529,13 @@ def identify(m):
     """Write m as a sum of catalog names by matching fingerprints.
 
     Fingerprints are additive, so this solves an exact nonnegative integer
-    combination.  They are not a complete isomorphism invariant in general;
-    what backs them is test_identify_names_an_isomorphic_functor, which
-    checks with is_isomorphic that every identified oracle output over a box
-    of representations is isomorphic to the sum named.  Returns the
+    combination.  The atoms' fingerprints are linearly independent (rank 21
+    for K, 4 for C2), so a sum of catalog atoms gets exactly its own name.
+    They are not a complete isomorphism invariant in general, so a functor
+    that is no such sum may still match one; what backs the names is
+    test_identify_names_an_isomorphic_functor, which checks with
+    is_isomorphic that every identified oracle output over a box of
+    representations is isomorphic to the sum named.  Returns the
     name-expression tuple, or None when no catalog combination matches.
     """
     if m.is_zero():

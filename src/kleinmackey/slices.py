@@ -267,9 +267,10 @@ def graded_homotopy(a, k, coeff, group="K", allow_oracle=False):
 def oracle_homotopy(v, coeff):
     """Homotopy names of the v-suspension of H(coeff) from the oracle.
 
-    v is a Klein or a C2 representation.  The one place where oracle output
-    becomes catalog names: degrees with zero homotopy are left out, and a
-    functor that is not a catalog sum raises ValueError.
+    v is a Klein or a C2 representation.  Degrees with zero homotopy are
+    left out, and a functor that is not a catalog sum raises ValueError;
+    cli.cmd_homotopy and verify.suite_figure1, which also name oracle
+    output, report such a functor instead.
     """
     out = {}
     for deg, m in bredon.homotopy(v, format_name_expr(coeff)).items():

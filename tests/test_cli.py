@@ -85,6 +85,18 @@ def test_verify_exit_codes(tmp_path):
     assert code == 1 and "FAIL" in text
 
 
+def test_mackey_c2_name_expression(capsys):
+    from kleinmackey.mackey import catalog_c2, direct_sum
+    code, text = run(["mackey", "--group", "C2", "--name", "F* + f", "--json"])
+    assert code == 0
+    summed = direct_sum([catalog_c2("F*"), catalog_c2("f")])
+    assert json.loads(text) == summed.to_json_dict()
+    capsys.readouterr()
+    assert run(["mackey", "--group", "C2", "--name", "F + W"]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_usage_errors(tmp_path, capsys):
     assert run(["slice", "--group", "K", "--n", "8"])[0] == 2       # missing --i
     assert run(["poincare", "--rep", "x"])[0] == 2                  # parse error

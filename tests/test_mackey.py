@@ -125,6 +125,38 @@ def test_identify_examples():
     assert format_name_expr(()) == "0"
 
 
+def _rank_mod_prime(rows, p=(1 << 61) - 1):
+    """Rank of an integer matrix over GF(p); it bounds the rational rank below."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] * inv % p
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_atom_fingerprints_are_independent():
+    for group, count in (("K", 21), ("C2", 4)):
+        vecs = [vec for _, vec in mk._atom_fingerprints(group)]
+        assert len(vecs) == count
+        assert _rank_mod_prime(vecs) == count, group
+
+
+def test_identify_separates_sums_that_shared_a_fingerprint():
+    # without the joint res/tr ranks at L, D, R, w* + phiLDR(F) and
+    # W* + phiLDR(f) had equal fingerprints
+    for name in ("w* + phiLDR(F)", "W + w* + phiLDR(F)"):
+        assert identify(catalog(name)) == parse_name_expr(name), name
+
+
 def test_identify_round_trip_all_atoms():
     for name in CATALOG_ATOMS:
         assert identify(catalog(name)) == ((name, 1),), name

@@ -4,6 +4,7 @@ from pathlib import Path
 
 from kleinmackey import bredon as br
 from kleinmackey.f2 import BitMatrix
+from kleinmackey.laurent import LaurentPoly
 from kleinmackey.mackey import (Mackey, catalog, catalog_c2, direct_sum, dual,
                                 fingerprint, format_name_expr, identify)
 from kleinmackey.reps import RHO_K, RepC2, RepK
@@ -22,12 +23,12 @@ def names(table):
 
 
 def test_elementary_complex_shape():
-    c = br.elementary_complex("alpha")
+    c = br.character_sphere("alpha", 1)
     assert {n: [cell.stab for cell in cs] for n, cs in c.cells.items()} == \
         {0: ["K"], 1: ["R"]}
-    c = br.elementary_complex("beta")
+    c = br.character_sphere("beta", 1)
     assert c.cells[1][0].stab == "L"
-    c = br.elementary_complex("gamma")
+    c = br.character_sphere("gamma", 1)
     assert c.cells[1][0].stab == "D"
 
 
@@ -40,7 +41,7 @@ def test_elementary_homology():
 
 
 def test_trivial_suspension():
-    unit = br.unit_complex()
+    unit = br.trivial_suspension(0)
     assert br.homotopy(RepK(), "F")[0] == catalog("F")
     shifted = br.trivial_suspension(3)
     assert list(shifted.cells) == [3]
@@ -57,21 +58,23 @@ def test_trivial_suspension():
 
 
 def test_smash_orbit_counts():
-    e = br.elementary_complex("alpha")
+    e = br.character_sphere("alpha", 1)
     sq = br.smash(e, e)
     deg2 = sq.cells[2]
     assert len(deg2) == 2 and all(cell.stab == "R" for cell in deg2)
-    mixed = br.smash(br.elementary_complex("alpha"), br.elementary_complex("beta"))
+    mixed = br.smash(br.character_sphere("alpha", 1), br.character_sphere("beta", 1))
     assert [cell.stab for cell in mixed.cells[2]] == ["e"]
-    t = br.homology(br.with_coefficients(sq, "F"), levels=("K",))
-    assert {n: dims[0] for n, dims in t.items()} == {0: 1, 1: 1, 2: 1}
+    t = br.homology(br.with_coefficients(sq, "F"))
+    assert {n: m.dims[0] for n, m in t.items() if m.dims[0]} == {0: 1, 1: 1, 2: 1}
+    assert br.homotopy_level_series(RepK(0, 2, 0, 0), "F", "K") == \
+        LaurentPoly.from_dict({0: 1, 1: 1, 2: 1})
 
 
 def test_smash_of_elementaries_matches_minimal_model():
     for b, c, d in ((2, 0, 0), (1, 1, -2), (-2, 1, 0), (1, 1, 1)):
-        cx = br.unit_complex()
+        cx = br.trivial_suspension(0)
         for char, count in (("alpha", b), ("beta", c), ("gamma", d)):
-            piece = br.elementary_complex(char)
+            piece = br.character_sphere(char, 1)
             if count < 0:
                 piece = br.dualize(piece)
             for _ in range(abs(count)):
@@ -186,7 +189,7 @@ def test_smash_matches_reference():
 
 
 def test_dualize_involution_and_duality():
-    c = br.elementary_complex("alpha")
+    c = br.character_sphere("alpha", 1)
     dd = br.dualize(br.dualize(c))
     assert dd.cells == c.cells and dd.entries == c.entries
     # homology of the dual complex with F is the dual of homology with F*
@@ -208,9 +211,9 @@ def test_sphere_complex_examples():
     c = br.sphere_complex(RHO_K)
     assert sorted(c.cells) == [1, 2, 3, 4]
     assert all(cell.stab == "e" for cell in c.cells[4])
-    assert br.sphere_complex(RepK()).cells == br.unit_complex().cells
+    assert br.sphere_complex(RepK()).cells == br.trivial_suspension(0).cells
     d = br.sphere_complex(RepK(0, -1, 0, 0))
-    dual_e = br.dualize(br.elementary_complex("alpha"))
+    dual_e = br.dualize(br.character_sphere("alpha", 1))
     assert d.cells == dual_e.cells and d.entries == dual_e.entries
 
 
@@ -471,10 +474,8 @@ def test_skipped_chain_maps_change_nothing():
             full = br.homology(br.with_coefficients(cx, coeff))
             assert repr(full) == repr(_reference_homology(br.with_coefficients(cx, coeff))), \
                 (v, coeff)
-            # one level alone, on a complex with no other level laid out
+            # one level alone, on a fresh complex with no other level laid out
             for j, level in enumerate(cx.gd.levels):
-                alone = br.homology(br.with_coefficients(cx, coeff), levels=(level,))
-                assert {n: dims[j] for n, dims in alone.items()} == \
-                    {n: m.dims[j] for n, m in full.items() if m.dims[j]}, (v, coeff, level)
-                assert all(d == 0 for dims in alone.values()
-                           for i, d in enumerate(dims) if i != j), (v, coeff, level)
+                assert br.homotopy_level_series(v, coeff, level) == \
+                    LaurentPoly.from_dict({n: m.dims[j] for n, m in full.items()}), \
+                    (v, coeff, level)
