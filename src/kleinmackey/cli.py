@@ -74,21 +74,9 @@ def cmd_homotopy(args, out):
         a = v.a - v.b
         k = v.b
         if group == "K" and (v.c, v.d) != (k, k):
-            if args.coeff != "F":
-                raise UsageError("closed engine needs a suspension of the form "
-                                 "a + k rho for named coefficients")
-            # a Klein twist not of the form a + k rho: report the per-level
-            # dimension series
-            series = hk.poincare(v)
-            levels = group_by_name("K").levels if args.level == "all" else [args.level]
-            if args.format == "json":
-                _emit(out, json.dumps({lv: series[lv].to_json_dict()
-                                       for lv in levels},
-                                      indent=2, sort_keys=True))
-            else:
-                for lv in levels:
-                    _emit(out, f"{lv}: {series[lv].pretty()}")
-            return 0
+            raise UsageError("closed engine needs a suspension of the form "
+                             "a + k rho; poincare gives the level series "
+                             "of other twists")
         table = slc.graded_homotopy(a, k, parse_name_expr(args.coeff, group), group)
         found = [({"degree": d, "identified_name": format_name_expr(e)},
                   expr_dims(e, group)) for d, e in sorted(table.items())]
@@ -237,9 +225,13 @@ def cmd_mackey(args, out):
 
 def cmd_verify(args, out):
     kwargs = {}
-    if args.suite in ("hk-oracle", "duality") and args.box is not None:
+    if args.box is not None:
+        if args.suite not in ("hk-oracle", "duality"):
+            raise UsageError(f"suite {args.suite} takes no --box")
         kwargs["box"] = args.box
-    if args.suite == "axioms" and args.file:
+    if args.file is not None:
+        if args.suite != "axioms":
+            raise UsageError(f"suite {args.suite} takes no --file")
         with open(args.file) as fh:
             kwargs["mackey_json"] = json.load(fh)
     report = verify.run_suite(args.suite, **kwargs)

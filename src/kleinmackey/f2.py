@@ -4,7 +4,7 @@ Rows are stored as Python int bitmasks, so a row operation is a single
 XOR no matter how wide the matrix is.  Matrices act on column vectors,
 which are also int bitmasks: bit j of a vector is coordinate j.
 
-Rank, kernel basis, solving and the image used by homology all come from one
+Rank, kernel basis and the image used by homology all come from one
 routine, column_reduction, which reads a list of column vectors.  A matrix's
 rows are its transpose's columns, so homology_reps takes each differential
 by its columns, stored as the rows of its transpose, and reduces them with
@@ -139,15 +139,6 @@ class BitMatrix:
         """Basis of {v : self @ v = 0}, as column-vector bitmasks."""
         return column_reduction(self.transpose().data)[1]
 
-    def solve(self, b):
-        """One solution x of self @ x = b, or None if inconsistent.
-
-        The solution is the one supported on the independent columns.
-        """
-        span = column_reduction(self.transpose().data)[0]
-        residue, x = span.reduce(b & ((1 << self.rows) - 1))
-        return None if residue else x
-
 
 def column_reduction(columns):
     """One left-to-right reduction of column vectors: (span, kernel).
@@ -171,20 +162,6 @@ def column_reduction(columns):
         else:
             kernel.append(coords | 1 << j)
     return span, tuple(kernel)
-
-
-def rank(m):
-    return m.rank()
-
-
-def kernel_basis(m):
-    return list(m.kernel_basis())
-
-
-def quotient_dims(sub, ambient_dim):
-    """dim(F2^ambient / span(sub)) for column vectors given as bitmasks."""
-    span = BitMatrix(len(sub), ambient_dim, tuple(sub))
-    return ambient_dim - span.rank()
 
 
 class EchelonSpan:

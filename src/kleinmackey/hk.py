@@ -114,11 +114,6 @@ def poincare_C2(v: RepC2):
     return {"C2": top.shift(v.a), "e": LaurentPoly.monomial(v.dim)}
 
 
-def poincare(v, level=None):
-    """Series for a RepK or RepC2; one level, or the full dict when None."""
-    table = poincare_K(v) if isinstance(v, RepK) else poincare_C2(v)
-    if level is None:
-        return table
-    if level not in table:
-        raise ValueError(f"unknown level {level!r}")
-    return table[level]
+def poincare(v):
+    """Every level's series for a RepK or a RepC2, as a dict keyed by level."""
+    return poincare_K(v) if isinstance(v, RepK) else poincare_C2(v)

@@ -35,10 +35,8 @@ class LaurentPoly:
         return LaurentPoly(((0, 1),))
 
     @staticmethod
-    def monomial(exp, coeff=1):
-        if coeff == 0:
-            return LaurentPoly(())
-        return LaurentPoly(((exp, coeff),))
+    def monomial(exp):
+        return LaurentPoly(((exp, 1),))
 
     def is_zero(self):
         return not self.coeffs
@@ -68,9 +66,6 @@ class LaurentPoly:
     def shift(self, k):
         return LaurentPoly(tuple((e + k, c) for e, c in self.coeffs))
 
-    def evaluate_at_one(self):
-        return sum(c for _, c in self.coeffs)
-
     def pretty(self):
         """Render like "x^-3 + 2x^-2" with terms in increasing exponent order."""
         if not self.coeffs:
@@ -86,10 +81,6 @@ class LaurentPoly:
 
     def to_json_dict(self):
         return {str(e): c for e, c in self.coeffs}
-
-    @staticmethod
-    def from_json_dict(d):
-        return LaurentPoly.from_dict({int(e): int(c) for e, c in d.items()})
 
 
 def geom(a, b):

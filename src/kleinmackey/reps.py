@@ -88,28 +88,9 @@ class RepC2:
         return RepC2(n * self.a, n * self.b)
 
 
-ALPHA = RepK(0, 1, 0, 0)
-BETA = RepK(0, 0, 1, 0)
-GAMMA = RepK(0, 0, 0, 1)
 RHO_K = RepK(1, 1, 1, 1)
-SIGMA = RepC2(0, 1)
-RHO_C2 = RepC2(1, 1)
-
-# Fixed-point homomorphisms to the cyclic subgroups, columns (1, alpha, beta,
-# gamma), rows (1, sigma), exactly as the source tables print them.
-FIXED_MATRICES = {
-    "L": ((1, 0, 0, 0), (0, 0, 0, 1)),
-    "D": ((1, 0, 0, 0), (0, 0, 1, 0)),
-    "R": ((1, 0, 0, 0), (0, 1, 0, 0)),
-}
 
 _CHAR_COEFF = {"alpha": 1, "beta": 2, "gamma": 3}  # index into coeffs()
-
-
-def _apply(matrix, v):
-    co = v.coeffs()
-    return RepC2(sum(m * x for m, x in zip(matrix[0], co)),
-                 sum(m * x for m, x in zip(matrix[1], co)))
 
 
 def restrict_rep(v, h):
@@ -123,11 +104,6 @@ def restrict_rep(v, h):
     and gamma, in particular on multiples of rho.
     """
     return restrict_rep_by_kernels(RepK(v.a, v.b, v.d, v.c), h)
-
-
-def fixed_rep(v, h):
-    """Fixed points RO(K) -> RO(C2) of the cyclic subgroup h, printed tables."""
-    return _apply(FIXED_MATRICES[h], v)
 
 
 def restrict_rep_by_kernels(v, h):

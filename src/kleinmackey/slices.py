@@ -66,14 +66,10 @@ def pretty_coeff(expr):
 
 
 def pretty_susp(v):
-    if isinstance(v, RepK):
-        k, a = v.b, v.a - v.b
-        if (v.b, v.c, v.d) != (k, k, k):
-            return f"Σ^{{{v.pretty()}}}"
-        rho = "" if k == 0 else ("ρ" if k == 1 else f"{k}ρ")
-    else:
-        k, a = v.b, v.a - v.b
-        rho = "" if k == 0 else ("ρ" if k == 1 else f"{k}ρ")
+    k, a = v.b, v.a - v.b
+    if isinstance(v, RepK) and (v.c, v.d) != (k, k):
+        return f"Σ^{{{v.pretty()}}}"
+    rho = "" if k == 0 else ("ρ" if k == 1 else f"{k}ρ")
     if rho and a:
         return f"Σ^{{{rho}+{a}}}" if a > 0 else f"Σ^{{{rho}{a}}}"
     if rho:
@@ -282,12 +278,12 @@ def oracle_homotopy(v, coeff):
     return out
 
 
-def homotopy_of_slice(cell: SliceCell, allow_oracle=False):
+def homotopy_of_slice(cell: SliceCell):
     """Graded homotopy names of a slice cell; {} for trivial cells."""
     if cell.trivial:
         return {}
     a, k = _rho_decompose(cell.susp)
-    return graded_homotopy(a, k, cell.coeff, cell.group, allow_oracle)
+    return graded_homotopy(a, k, cell.coeff, cell.group)
 
 
 # the cofiber C of the constant functor mapping into its three-fold
@@ -378,14 +374,8 @@ def tower_K(n):
     """The printed tower node list for n <= 10; bare slice list above that."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return (_node("slice", "P^0_0", 0, 0, 0, "F"),)
-    if n == 1:
-        return (_node("slice", "P^1_1", 1, 0, 1, "F"),)
-    if n == 2:
-        return (_node("slice", "P^2_2", 2, 0, 2, "F"),)
-    if n == 3:
-        return (_node("slice", "P^3_3", 3, 0, 3, "F"),)
+    if n <= 3:
+        return (_node("slice", f"P^{n}_{n}", n, 0, n, "F"),)
     if n == 4:
         return (_node("slice", "P^4_4", 4, 1, 0, "F*"),)
     if n == 5:

@@ -272,15 +272,15 @@ def solve_differentials(chart, cap=20000):
     return sorted(patterns)
 
 
-def euler_check(n, group="K"):
+def euler_check(n):
     """Alternating sum of chart dimensions must be (-1)^n at every level."""
-    chart = build_E1(n, group)
+    chart = build_E1(n)
     gd = chart.gd
     nlev = len(gd.levels)
     totals = [0] * nlev
     for (t, _), expr in chart.entries:
         sign = -1 if t % 2 else 1
-        for j, d in enumerate(expr_dims(expr, group)):
+        for j, d in enumerate(expr_dims(expr)):
             totals[j] += sign * d
     want = -1 if n % 2 else 1
     failures = [gd.levels[j] for j in range(nlev) if totals[j] != want]

@@ -38,11 +38,18 @@ def test_homotopy_oracle_json():
     assert rows[3]["mackey"]["dims"] == {"K": 1, "L": 1, "D": 1, "R": 1, "e": 1}
 
 
-def test_homotopy_closed_engine():
+def test_homotopy_closed_engine(capsys):
     code, text = run(["homotopy", "--rep", "2,1,1,1", "--coeff", "f",
                       "--engine", "closed"])
     assert code == 0
     assert "pi_5 = F" in text and "pi_4 = mg" in text
+    # a Klein twist that is not a + k rho has no closed table; its level
+    # series come from poincare
+    capsys.readouterr()
+    assert run(["homotopy", "--engine", "closed", "--rep", "0,3,-2,-2"]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "poincare" in err
 
 
 def test_homotopy_engines_agree():
@@ -130,9 +137,11 @@ def test_usage_errors(tmp_path, capsys):
             assert run(argv) == (2, ""), (doc, argv)
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
-    # a negative box is bad input, not an empty sweep that passes
-    for suite in ("duality", "hk-oracle"):
-        assert run(["verify", "--suite", suite, "--box", "-1"]) == (2, ""), suite
+    # a negative box is bad input, not an empty sweep that passes, and so is
+    # a flag the suite does not read
+    for argv in (["duality", "--box", "-1"], ["hk-oracle", "--box", "-1"],
+                 ["twistings", "--box", "3"], ["duality", "--file", "x.json"]):
+        assert run(["verify", "--suite"] + argv) == (2, ""), argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 

@@ -1,9 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from kleinmackey.reps import (ALPHA, BETA, GAMMA, RHO_C2, RHO_K, RepC2, RepK,
-                              fixed_rep, parse_rep, restrict_rep,
+from kleinmackey.reps import (RHO_K, RepC2, RepK, parse_rep, restrict_rep,
                               restrict_rep_by_kernels)
+
+ALPHA = RepK(0, 1, 0, 0)
+BETA = RepK(0, 0, 1, 0)
+GAMMA = RepK(0, 0, 0, 1)
+RHO_C2 = RepC2(1, 1)
 
 reps = st.builds(RepK, st.integers(-6, 6), st.integers(-6, 6),
                  st.integers(-6, 6), st.integers(-6, 6))
@@ -13,13 +17,6 @@ def test_restrict_examples():
     assert restrict_rep(RHO_K, "L") == 2 * RHO_C2
     assert restrict_rep(ALPHA, "R") == RepC2(1, 0)
     assert restrict_rep(RepK(), "D") == RepC2()
-
-
-def test_fixed_examples():
-    for h in ("L", "D", "R"):
-        assert fixed_rep(RHO_K, h) == RHO_C2
-    assert fixed_rep(GAMMA, "L") == RepC2(0, 1)
-    assert fixed_rep(ALPHA, "L") == RepC2()
 
 
 def test_kernel_pairing_restriction():
@@ -66,7 +63,6 @@ def test_printed_restriction_is_kernel_restriction_beta_gamma_swapped(h, v):
 @given(reps, reps, st.sampled_from(["L", "D", "R"]))
 def test_additivity(v, w, h):
     assert restrict_rep(v + w, h) == restrict_rep(v, h) + restrict_rep(w, h)
-    assert fixed_rep(v + w, h) == fixed_rep(v, h) + fixed_rep(w, h)
 
 
 @given(reps, st.sampled_from(["L", "D", "R"]))

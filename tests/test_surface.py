@@ -1,0 +1,180 @@
+"""Every name the package defines is read somewhere outside the tests.
+
+The scan reads src/kleinmackey, scripts/ and perfbench/ with ast and counts
+only loads, never definitions, imports or stores:
+
+- a module-level function, class or constant of module M is used where it
+  is read by name in M, read by name in a file that imports it from M, or
+  read as an attribute of M (``hk.poincare``);
+- a public method is used wherever an attribute of its name is read.
+
+Reads inside the definition itself do not count, and the package
+``__init__`` is not scanned, so an export is not a caller.  A name that
+nothing reads is deleted, or listed in ALLOWED with the reason it stays.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "kleinmackey"
+CALLERS = (ROOT / "scripts", ROOT / "perfbench")
+
+ALLOWED = {
+    "slices.effective_slice_dim":
+        "the slice certificate (ROADMAP item 1) computes or tests it",
+    "slices.slice_predicates":
+        "the slice certificate (ROADMAP item 1) checks it on the EM cells",
+    "slices.slice_C2_f": "the slice certificate (ROADMAP item 1) certifies its cells",
+    "slices.tower_slice_parts": "acceptance criterion 5 reads the towers through it",
+    "hk.two_pos_one_neg_printed": "the printed formula, kept as a reference",
+    "mackey.is_isomorphic":
+        "the exact check behind identify's tests; decomposition (item 5) builds on it",
+    "f2.BitMatrix.apply": "the kernel tests apply matrices to vectors with it",
+}
+
+
+def _package_modules():
+    return sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def _import_module(node, modules):
+    """The package module an ImportFrom reads names from, or None."""
+    if node.level == 1 and node.module in modules:
+        return node.module
+    if node.level == 0 and node.module and node.module.startswith("kleinmackey."):
+        name = node.module.split(".", 1)[1]
+        return name if name in modules else None
+    return None
+
+
+def _is_package(node):
+    return (node.level == 1 and node.module is None) or \
+        (node.level == 0 and node.module == "kleinmackey")
+
+
+class _Scan(ast.NodeVisitor):
+    """Collects a file's definitions and its loads, each with the keys of
+    the definitions that enclose it."""
+
+    def __init__(self, module, modules):
+        self.module = module              # package module name, or None
+        self.modules = modules
+        self.module_alias = {}            # local name -> package module
+        self.imported = {}                # local name -> (module, name)
+        self.defined = set()              # module-level keys (module, name)
+        self.methods = set()              # (module, class, method)
+        self.loads = []                   # (key, enclosing keys)
+        self.attr_loads = []              # (attribute name, enclosing keys)
+        self.stack = []
+
+    def scan(self, tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = _import_module(node, self.modules)
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if source:
+                        self.imported[local] = (source, alias.name)
+                    elif _is_package(node) and alias.name in self.modules:
+                        self.module_alias[local] = alias.name
+        if self.module:
+            for node in tree.body:
+                for name in _module_level_names(node):
+                    self.defined.add((self.module, name))
+                if isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef) \
+                                and not item.name.startswith("_"):
+                            self.methods.add((self.module, node.name, item.name))
+        self.visit(tree)
+
+    def _key_of(self, node):
+        if len(self.stack) == 1 and self.stack[0][0] == "class" and self.module:
+            return (self.module, self.stack[0][1], node.name)
+        if not self.stack and self.module:
+            return (self.module, node.name)
+        return None
+
+    def _enter(self, node, kind):
+        key = self._key_of(node)
+        self.stack.append((kind, node.name, key))
+        self.generic_visit(node)
+        self.stack.pop()
+
+    def visit_FunctionDef(self, node):
+        self._enter(node, "def")
+
+    def visit_ClassDef(self, node):
+        self._enter(node, "class")
+
+    def _enclosing(self):
+        return {key for _, _, key in self.stack if key}
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            if node.id in self.imported:
+                self.loads.append((self.imported[node.id], self._enclosing()))
+            elif self.module:
+                self.loads.append(((self.module, node.id), self._enclosing()))
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            enclosing = self._enclosing()
+            self.attr_loads.append((node.attr, enclosing))
+            if isinstance(node.value, ast.Name) and node.value.id in self.module_alias:
+                key = (self.module_alias[node.value.id], node.attr)
+                self.loads.append((key, enclosing))
+        self.generic_visit(node)
+
+
+def _module_level_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = []
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    names = []
+    for target in targets:
+        for sub in ast.walk(target):
+            if isinstance(sub, ast.Name) and not sub.id.startswith("__"):
+                names.append(sub.id)
+    return names
+
+
+def unreferenced_names():
+    """Dotted names of the package's definitions that nothing reads."""
+    modules = _package_modules()
+    scans = []
+    for name in modules:
+        scans.append((name, PACKAGE / f"{name}.py"))
+    for folder in CALLERS:
+        scans.extend((None, path) for path in sorted(folder.glob("*.py")))
+    defined, methods, loads, attr_loads = set(), set(), [], []
+    for module, path in scans:
+        scan = _Scan(module, modules)
+        scan.scan(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        defined |= scan.defined
+        methods |= scan.methods
+        loads += scan.loads
+        attr_loads += scan.attr_loads
+    used = {key for key, enclosing in loads if key not in enclosing}
+    out = {".".join(key) for key in defined - used}
+    for key in methods:
+        if not any(attr == key[2] and key not in enclosing
+                   for attr, enclosing in attr_loads):
+            out.add(".".join(key))
+    return out
+
+
+def test_every_definition_has_a_caller_or_a_reason():
+    unused = unreferenced_names()
+    assert sorted(unused - set(ALLOWED)) == []
+    # an entry whose name gained a caller or was deleted goes too
+    assert sorted(set(ALLOWED) - unused) == []
+    assert len(ALLOWED) <= 7 and all(reason for reason in ALLOWED.values())
+
