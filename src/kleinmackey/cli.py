@@ -54,13 +54,14 @@ def cmd_poincare(args, out):
         doc = {lv: p.to_json_dict() for lv, p in table.items()}
         _emit(out, json.dumps(doc, indent=2, sort_keys=True))
         return 0
-    if args.level == "all":
+    level = args.level or ("C2" if isinstance(v, RepC2) else "K")
+    if level == "all":
         for lv in (table if isinstance(v, RepC2) else ("K", "L", "D", "R", "e")):
             _emit(out, f"{lv}: {table[lv].pretty()}")
     else:
-        if args.level not in table:
-            raise UsageError(f"no level {args.level!r} for this group")
-        _emit(out, table[args.level].pretty())
+        if level not in table:
+            raise UsageError(f"no level {level!r} for this group")
+        _emit(out, table[level].pretty())
     return 0
 
 
@@ -191,14 +192,7 @@ def cmd_chart(args, out):
             diffs = exc.patterns[0] if exc.patterns else ()
     elif args.group == "K" and args.n <= 10:
         diffs = sschart.canned_differentials(args.n)
-    text = sschart.render(chart, args.format, diffs)
-    if solved_note:
-        if args.format == "text":
-            text += f"solver: {solved_note}\n"
-        elif args.format == "json":
-            doc = json.loads(text)
-            doc["solver"] = solved_note
-            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = sschart.render(chart, args.format, diffs, solved_note)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -248,8 +242,9 @@ def build_parser():
     sp = sub.add_parser("poincare", help="graded dimension series of a twist")
     sp.add_argument("--rep", required=True,
                     help='representation "a,b,c,d" (Klein) or "a,b" (C2)')
-    sp.add_argument("--level", default="K",
-                    choices=["K", "L", "D", "R", "e", "C2", "all"])
+    sp.add_argument("--level", default=None,
+                    choices=["K", "L", "D", "R", "e", "C2", "all"],
+                    help="subgroup level (default: the top one, K or C2)")
     sp.add_argument("--format", default="text", choices=["text", "json"])
     sp.set_defaults(func=cmd_poincare)
 

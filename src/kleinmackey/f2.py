@@ -92,14 +92,6 @@ class BitMatrix:
             out.append(acc)
         return BitMatrix(self.rows, other.cols, tuple(out))
 
-    def apply(self, vec):
-        """Matrix times column vector (int bitmask) over GF(2)."""
-        out = 0
-        for i, row in enumerate(self.data):
-            if (row & vec).bit_count() & 1:
-                out |= 1 << i
-        return out
-
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")

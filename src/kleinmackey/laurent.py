@@ -38,15 +38,6 @@ class LaurentPoly:
     def monomial(exp):
         return LaurentPoly(((exp, 1),))
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def coeff(self, e):
-        for exp, c in self.coeffs:
-            if exp == e:
-                return c
-        return 0
-
     def as_dict(self):
         return dict(self.coeffs)
 

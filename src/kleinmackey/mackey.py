@@ -192,12 +192,8 @@ def direct_sum(ms, group=None):
 
 
 def inflate(h, m):
-    """Pull back along K -> K/h: for cyclic h, m is a C2 functor placed on the
-    levels containing h; for h == "K", m is a plain dimension and the result
-    is that many copies of the geometric functor."""
-    if h == "K":
-        n = int(m)
-        return build_mackey("K", (n, 0, 0, 0, 0))
+    """Pull back along K -> K/h for a cyclic h: the C2 functor m placed on
+    the levels containing h."""
     if h not in ("L", "D", "R"):
         raise ValueError(f"not a cyclic subgroup: {h!r}")
     if m.group != "C2":

@@ -41,27 +41,6 @@ class RepK:
     def __rmul__(self, n):
         return RepK(n * self.a, n * self.b, n * self.c, n * self.d)
 
-    def pretty(self):
-        names = ("", "a", "b", "g")
-        parts = []
-        for coeff, sym in zip(self.coeffs(), names):
-            if coeff == 0:
-                continue
-            if sym == "":
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(sym)
-            elif coeff == -1:
-                parts.append(f"-{sym}")
-            else:
-                parts.append(f"{coeff}{sym}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
-
 
 @dataclass(frozen=True)
 class RepC2:

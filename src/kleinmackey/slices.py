@@ -55,8 +55,6 @@ _GLYPHS = {
 
 def pretty_coeff(expr):
     """Display form like "(φ*_{LDR}F* ⊕ g^2)"; bare name for single atoms."""
-    if expr == "C":
-        return " C"
     parts = display_terms(expr, _GLYPHS)
     if not parts:
         return " 0"
@@ -66,9 +64,7 @@ def pretty_coeff(expr):
 
 
 def pretty_susp(v):
-    k, a = v.b, v.a - v.b
-    if isinstance(v, RepK) and (v.c, v.d) != (k, k):
-        return f"Σ^{{{v.pretty()}}}"
+    a, k = _rho_decompose(v)
     rho = "" if k == 0 else ("ρ" if k == 1 else f"{k}ρ")
     if rho and a:
         return f"Σ^{{{rho}+{a}}}" if a > 0 else f"Σ^{{{rho}{a}}}"
@@ -485,19 +481,12 @@ def tower_slice_parts(n):
 # restriction to cyclic subgroups
 
 
-_C2_RESTRICTIONS = {}
-
-
 def _restrict_coeff(expr, h):
     """Name expression of a Klein coefficient restricted to a cyclic subgroup."""
-    key = (expr, h)
-    if key not in _C2_RESTRICTIONS:
-        m = restrict_to(catalog(format_name_expr(expr)), h)
-        got = identify(m)
-        if got is None:
-            raise ValueError(f"restriction of {expr} to {h} is not a C2 catalog sum")
-        _C2_RESTRICTIONS[key] = got
-    return _C2_RESTRICTIONS[key]
+    got = identify(restrict_to(catalog(format_name_expr(expr)), h))
+    if got is None:
+        raise ValueError(f"restriction of {expr} to {h} is not a C2 catalog sum")
+    return got
 
 
 def restriction_consistency(n):

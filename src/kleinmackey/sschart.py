@@ -268,7 +268,12 @@ def solve_differentials(chart, cap=20000):
                 bs[j] += x
                 bt[j] += x
 
-    dfs(0)
+    try:
+        dfs(0)
+    except RecursionError:
+        raise ValueError(f"chart n={chart.n} has {len(steps)} differential pairs; "
+                         "the solver recurses once per pair, past Python's "
+                         "recursion limit") from None
     return sorted(patterns)
 
 
@@ -299,20 +304,22 @@ def _glyph(expr):
     return "+".join(display_terms(expr, _CHART_GLYPHS))
 
 
-def render(chart, fmt="text", diffs=()):
+def render(chart, fmt="text", diffs=(), note=None):
+    """The chart with diffs drawn, and note (a solver summary) written below."""
     if fmt == "text":
-        return render_text(chart, diffs)
+        return render_text(chart, diffs, note)
     if fmt == "json":
-        return render_json(chart, diffs)
+        return render_json(chart, diffs, note)
     if fmt == "svg":
-        return render_svg(chart, diffs)
+        return render_svg(chart, diffs, note)
     raise ValueError(f"unknown render format {fmt!r}")
 
 
-def render_text(chart, diffs=()):
+def render_text(chart, diffs=(), note=None):
+    tail = f"solver: {note}\n" if note else ""
     emap = chart.entry_map()
     if not emap:
-        return f"chart n={chart.n} over {chart.group}: empty\n"
+        return f"chart n={chart.n} over {chart.group}: empty\n" + tail
     ts = sorted({t for t, _ in emap})
     islices = sorted({i for _, i in emap}, reverse=True)
     cells = {pos: _glyph(expr) for pos, expr in emap.items()}
@@ -333,10 +340,10 @@ def render_text(chart, diffs=()):
         for d in sorted(diffs, key=lambda d: (d.r, d.src)):
             ranks = ",".join(f"{lv}={rk}" for lv, rk in zip(levels, d.ranks) if rk)
             lines.append(f"  d{d.r}: {d.src} -> {d.tgt}  [{ranks}]")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + tail
 
 
-def render_json(chart, diffs=()):
+def render_json(chart, diffs=(), note=None):
     doc = {
         "group": chart.group,
         "n": chart.n,
@@ -345,13 +352,15 @@ def render_json(chart, diffs=()):
         "differentials": [d.as_dict(chart.gd.levels)
                           for d in sorted(diffs, key=lambda d: (d.r, d.src))],
     }
+    if note:
+        doc["solver"] = note
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 _SVG_CELL = 40
 
 
-def render_svg(chart, diffs=()):
+def render_svg(chart, diffs=(), note=None):
     emap = chart.entry_map()
     ts = sorted({t for t, _ in emap}) or [0]
     islices = sorted({i for _, i in emap}) or [0]
@@ -360,6 +369,7 @@ def render_svg(chart, diffs=()):
     width = left + c * (len(ts) + 1)
     legend_h = 24
     height = top + c * (len(islices) + 1) + legend_h + 20
+    note_h = 16 if note else 0
 
     def x_of(t):
         return left + c // 2 + c * ts.index(t)
@@ -369,7 +379,7 @@ def render_svg(chart, diffs=()):
 
     out = []
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-               f'height="{height}" font-family="monospace" font-size="11">')
+               f'height="{height + note_h}" font-family="monospace" font-size="11">')
     out.append('<defs><marker id="arr" viewBox="0 0 8 8" refX="7" refY="4" '
                'markerWidth="6" markerHeight="6" orient="auto">'
                '<path d="M0,0 L8,4 L0,8 z"/></marker></defs>')
@@ -398,5 +408,7 @@ def render_svg(chart, diffs=()):
     legend = ("glyphs: F constant, F* dual, mg two-dim quotient, "
               "pX three-fold inflation of X, g geometric, f free")
     out.append(f'<text x="{left}" y="{height - 8}">{legend}</text>')
+    if note:
+        out.append(f'<text x="{left}" y="{height + 8}">solver: {note}</text>')
     out.append('</svg>')
     return "\n".join(out) + "\n"

@@ -82,10 +82,10 @@ def _box(box, a_box):
     return itertools.product(range(-a_box, a_box + 1), rng, rng, rng)
 
 
-def suite_hk_oracle(box=3, a_box=4):
-    """Closed-form top-level series equals oracle graded dimensions."""
+def suite_hk_oracle(box=3):
+    """Closed-form top-level series equals oracle graded dimensions, |a| <= 4."""
     rep = Report("hk-oracle")
-    for a, b, c, d in _box(box, a_box):
+    for a, b, c, d in _box(box, 4):
         v = RepK(a, b, c, d)
         rep.checked += 1
         closed = hk.poincare_K(v)["K"]
@@ -102,21 +102,11 @@ def suite_duality(box=2, a_box=None):
     a_box defaults to box: the default sweep is |a|, |b|, |c|, |d| <= 2.
     """
     rep = Report("duality")
-    # The box is symmetric, so each sphere serves F* at v and F at -v: its
-    # complex is built at its first use and dropped at its second.
-    spare = {}
-
-    def homotopy(v, coeff):
-        cx = spare.pop(v, None)
-        if cx is None:
-            cx = spare[v] = bredon.sphere_complex(v)
-        return bredon.homology(bredon.with_coefficients(cx, coeff))
-
     for a, b, c, d in _box(box, box if a_box is None else a_box):
         v = RepK(a, b, c, d)
         rep.checked += 1
-        lhs = {n: fingerprint(m) for n, m in homotopy(v, "F*").items()}
-        rhs = {-n: fingerprint(dual(m)) for n, m in homotopy(-v, "F").items()}
+        lhs = {n: fingerprint(m) for n, m in bredon.homotopy(v, "F*").items()}
+        rhs = {-n: fingerprint(dual(m)) for n, m in bredon.homotopy(-v, "F").items()}
         if lhs != rhs:
             rep.fail(f"{v.coeffs()}: dual mismatch")
     return rep
@@ -172,21 +162,21 @@ def suite_twistings():
     return rep
 
 
-def suite_slices_restriction(n_max=20):
-    """Klein slices restrict to the C2 slices on every cyclic subgroup."""
+def suite_slices_restriction():
+    """Klein slices restrict to the C2 slices on every cyclic subgroup, n <= 20."""
     rep = Report("slices-restriction")
-    for n in range(0, n_max + 1):
+    for n in range(0, 21):
         rep.checked += 1
         for f in slc.restriction_consistency(n):
             rep.fail(f)
     return rep
 
 
-def suite_slice_homotopy(k_max=3):
-    """Graded homotopy tables of the slice building blocks versus the oracle."""
+def suite_slice_homotopy():
+    """Graded homotopy tables of the slice building blocks versus the oracle, k <= 3."""
     rep = Report("slice-homotopy")
     cases = []
-    for k in range(1, k_max + 1):
+    for k in range(1, 4):
         cases.append((RepK(k, k, k, k), "F"))
         cases.append((RepK(-k, -k, -k, -k), "F*"))
         cases.append((RepK(k, k, k, k), "f"))
@@ -207,10 +197,10 @@ def suite_slice_homotopy(k_max=3):
     return rep
 
 
-def suite_euler(n_max=20):
-    """Euler characteristics of the E1 charts; level-e charts have one cell."""
+def suite_euler():
+    """Euler characteristics of the E1 charts, n <= 20; level-e charts have one cell."""
     rep = Report("euler")
-    for n in range(0, n_max + 1):
+    for n in range(0, 21):
         rep.checked += 1
         result = sschart.euler_check(n)
         if not result["pass"]:
@@ -222,22 +212,27 @@ def suite_euler(n_max=20):
     return rep
 
 
-def suite_convergence(n_max=10):
-    """Canned differentials converge; the solver finds them uniquely."""
+# how many differential patterns the solver finds: one below n = 9
+_PATTERN_COUNTS = {9: 2, 10: 6}
+
+
+def suite_convergence():
+    """For n <= 10 the published differentials converge, and the solver finds
+    them among the expected number of patterns."""
     rep = Report("convergence")
-    for n in range(0, n_max + 1):
+    for n in range(0, 11):
         rep.checked += 1
         chart = sschart.build_E1(n)
-        result = sschart.check_convergence(chart, sschart.canned_differentials(n))
+        canned = sschart.canned_differentials(n)
+        result = sschart.check_convergence(chart, canned)
         if not result["pass"]:
             rep.fail(f"n={n}: {result['failures'] or result['survivors']}")
-    for n in (5, 7, 8):
-        rep.checked += 1
-        patterns = sschart.solve_differentials(sschart.build_E1(n))
-        if len(patterns) != 1:
-            rep.fail(f"n={n}: expected a unique pattern, found {len(patterns)}")
-        elif tuple(sorted(patterns[0])) != tuple(sorted(sschart.canned_differentials(n))):
-            rep.fail(f"n={n}: unique pattern differs from the published one")
+        patterns = sschart.solve_differentials(chart)
+        want = _PATTERN_COUNTS.get(n, 1)
+        if len(patterns) != want:
+            rep.fail(f"n={n}: expected {want} pattern(s), found {len(patterns)}")
+        if tuple(sorted(canned)) not in patterns:
+            rep.fail(f"n={n}: the published pattern is not among the solver's")
     return rep
 
 

@@ -21,6 +21,8 @@ def run(argv):
 def test_poincare_golden():
     code, text = run(["poincare", "--rep", "0,1,1,1"])
     assert code == 0 and text == "1 + 3x + 2x^2 + x^3\n"
+    # the level defaults to the top one of the representation's group
+    assert run(["poincare", "--rep", "0,1"]) == (0, "1 + x\n")
 
 
 def test_slice_golden():
@@ -112,6 +114,11 @@ def test_usage_errors(tmp_path, capsys):
     assert run(["chart", "--n", "9", "--solve", "--cap", "-1"]) == (2, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    # the solver recurses once per pair, and n = 34 has 1080 pairs
+    assert run(["chart", "--n", "34", "--solve", "--cap", "1"]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert " 1080 " in err
     missing = str(tmp_path / "missing.json")
     assert run(["mackey", "--file", missing]) == (2, "")
     assert capsys.readouterr().err.count("\n") == 1
@@ -178,6 +185,13 @@ def test_chart_solve_reports_count():
     code, text = run(["chart", "--n", "9", "--solve", "--format", "text"])
     assert code == 0
     assert "solver: 2 consistent pattern(s)" in text
+    # every format says when the pattern drawn is one of many
+    code, svg = run(["chart", "--n", "13", "--solve", "--cap", "3", "--format", "svg"])
+    assert code == 0 and svg.endswith("</svg>\n")
+    assert ">solver: more than 3 patterns (truncated)</text>" in svg
+    code, text = run(["chart", "--n", "13", "--solve", "--cap", "3", "--format", "json"])
+    assert code == 0
+    assert json.loads(text)["solver"] == "more than 3 patterns (truncated)"
 
 
 def test_tower_json_has_cofiber():

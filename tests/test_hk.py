@@ -21,7 +21,7 @@ def test_klein_examples():
     assert K(0, 2, 1, -1).pretty() == "x + x^2"
     assert K(0, -1, -1, -1).pretty() == "x^-3"  # the 1 - rho twist
     assert K(0, 0, 0, 0) == LaurentPoly.one()
-    assert K(0, -1, 0, 0).is_zero()
+    assert K(0, -1, 0, 0) == LaurentPoly.zero()
 
 
 def test_c2_examples():
@@ -29,7 +29,7 @@ def test_c2_examples():
     assert poincare_C2(RepC2(0, -2))["C2"].pretty() == "x^-2"
     v = RepC2(1, -1)
     table = poincare_C2(v)
-    assert table["C2"].is_zero()
+    assert table["C2"] == LaurentPoly.zero()
     assert table["e"] == LaurentPoly.monomial(0)
 
 
@@ -70,7 +70,7 @@ def test_all_positive_coefficient_profile():
     for l, m, n in ((1, 2, 4), (2, 2, 2), (1, 1, 5), (3, 4, 5)):
         series = K(0, l, m, n)
         top = l + m + n
-        coeffs = [series.coeff(e) for e in range(top + 1)]
+        coeffs = [series.as_dict().get(e, 0) for e in range(top + 1)]
         assert coeffs[0] == 1 and coeffs[top] == 1
         for e in range(1, l + 1):
             assert coeffs[e] - coeffs[e - 1] == 2
@@ -102,7 +102,7 @@ def test_printed_two_pos_formula_fails_on_corners():
     oracle = bredon.homotopy_level_series(RepK(0, 1, 1, -3), "F", "K")
     assert true == oracle
     assert printed != true
-    assert printed.coeff(0) == 1 and true.coeff(0) == 0
+    assert printed.as_dict().get(0, 0) == 1 and true.as_dict().get(0, 0) == 0
     # and agrees with the printed formula away from the corners
     assert two_pos_one_neg_printed(3, 3, 2) == K(0, 3, 3, -2)
 

@@ -6,7 +6,7 @@ from kleinmackey.laurent import LaurentPoly, geom
 
 def test_geom_examples():
     assert geom(0, 3) == LaurentPoly.from_dict({0: 1, 1: 1, 2: 1, 3: 1})
-    assert geom(0, -1).is_zero()
+    assert geom(0, -1) == LaurentPoly.zero()
     assert geom(-3, -2).pretty() == "x^-3 + x^-2"
 
 

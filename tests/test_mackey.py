@@ -68,7 +68,6 @@ def test_dual_names_are_the_papers_pairing():
 
 
 def test_inflate_examples():
-    assert inflate("K", 1) == catalog("g")
     m = inflate("R", catalog_c2("F"))
     assert m.dims == (1, 0, 0, 1, 0)
     assert m.res_edge("K", "R").to_lists() == [[1]]

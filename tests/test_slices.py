@@ -132,6 +132,9 @@ def test_bottom_slice_matches_oracle():
 def test_towers_low():
     assert [node.pretty() for node in sl.tower_K(0)] == ["Σ^0 HF"]
     assert [node.pretty() for node in sl.tower_K(4)] == ["Σ^ρ HF*"]
+    # every slice and node suspension is a + k rho; no other twist prints
+    with pytest.raises(ValueError):
+        sl.pretty_susp(RepK(0, 3, -2, -2))
     forms5 = [(node.kind, node.pretty()) for node in sl.tower_K(5)]
     assert forms5 == [
         ("slice", "Σ^2 Hg"),
