@@ -2,7 +2,7 @@
 """Render spectral sequence charts for a range of suspensions into out/.
 
 Suspensions 5..10 get the published differentials; larger ones get the
-first solver pattern with the pattern count noted in the text rendering.
+first solver pattern, with the pattern count noted in every rendering.
 """
 
 import os
@@ -15,9 +15,9 @@ def main(ns=(5, 6, 7, 8, 9, 10, 11, 12, 20)):
     os.makedirs("out", exist_ok=True)
     for n in ns:
         chart = sschart.build_E1(n)
+        note = None
         if n <= 10:
             diffs = sschart.canned_differentials(n)
-            note = "published differentials"
         else:
             try:
                 patterns = sschart.solve_differentials(chart, cap=200)
@@ -28,13 +28,11 @@ def main(ns=(5, 6, 7, 8, 9, 10, 11, 12, 20)):
                 note = f"more than {len(exc.patterns)} patterns; showing the first"
         for fmt, ext in (("text", "txt"), ("json", "json"), ("svg", "svg")):
             path = os.path.join("out", f"chart_n{n}.{ext}")
-            body = sschart.render(chart, fmt, diffs)
-            if fmt == "text":
-                body += f"note: {note}\n"
+            body = sschart.render(chart, fmt, diffs, note)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(body)
         print(f"n={n}: {len(chart.entries)} cells, {len(diffs)} differentials "
-              f"({note})")
+              f"({note or 'published differentials'})")
     return 0
 
 

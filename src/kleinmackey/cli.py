@@ -56,7 +56,7 @@ def cmd_poincare(args, out):
         return 0
     level = args.level or ("C2" if isinstance(v, RepC2) else "K")
     if level == "all":
-        for lv in (table if isinstance(v, RepC2) else ("K", "L", "D", "R", "e")):
+        for lv in table:
             _emit(out, f"{lv}: {table[lv].pretty()}")
     else:
         if level not in table:
@@ -68,8 +68,7 @@ def cmd_poincare(args, out):
 def cmd_homotopy(args, out):
     v = _parse_any_rep(args.rep)
     group = "K" if isinstance(v, RepK) else "C2"
-    if args.level not in ("all",) + (("K", "L", "D", "R", "e") if group == "K"
-                                     else ("C2", "e")):
+    if args.level != "all" and args.level not in group_by_name(group).levels:
         raise UsageError(f"no level {args.level!r} for this group")
     if args.engine == "closed":
         a = v.a - v.b

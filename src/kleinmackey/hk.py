@@ -5,8 +5,13 @@ of the homotopy of the V-twisted Eilenberg-MacLane spectrum of the constant
 functor, one Laurent series per subgroup level.  The top-level Klein series
 is a case split on the sign pattern of the (alpha, beta, gamma) part; the
 three characters are interchangeable, so the pattern is canonicalized by
-sorting.  Empty geometric sums are zero, which silently covers all the
-degenerate boundary cases.
+sorting.  Only the even patterns (no negative part, or two) are written
+out.  Anderson duality and HF* = S^(4-rho) HF give
+pi_d(S^V smash HF) = pi_(-d)(S^(4-rho-V) smash HF), so the series of
+(b, c, d) is that of (-1-b, -1-c, -1-d) with each degree e sent to -e-3,
+and that reflection turns each odd sign pattern into an even one.
+Empty geometric sums are zero, which silently covers all the degenerate
+boundary cases.
 """
 
 from __future__ import annotations
@@ -31,33 +36,26 @@ def _one_pos_two_neg(l, j, k):
         (geom(0, l) * geom(0, l - 1)).shift(-(l + 1))
 
 
-def _two_pos_one_neg(l, m, k):
-    """Series for l alpha + m beta - k gamma with k >= 2.
-
-    Derived from the one-positive case through the duality
-    pi_d(S^V smash HF) = pi_(-d)(S^(4-rho-V) smash HF), so that the answer is
-    the reflected, shifted series of (k-1) alpha - (l+1) beta - (m+1) gamma.
-    The directly stated product formula for this sign pattern fails on
-    corner parameters (it disagrees with the duality route and with the
-    chain-level computation, e.g. at l = m = 1, k = 3), so the reduction
-    is used for the whole range.
-    """
-    return _reverse(_one_pos_two_neg(k - 1, l + 1, m + 1)).shift(-3)
-
-
 def two_pos_one_neg_printed(l, m, k):
-    """The directly stated k >= 2 product formula; valid only away from
-    corner parameters, kept for cross-checking."""
+    """The directly stated product formula for l alpha + m beta - k gamma,
+    k >= 2, kept for cross-checking.
+
+    It fails on corner parameters: at l = m = 1, k = 3 it disagrees with the
+    duality route of _klein_top_series and with the chain-level computation.
+    """
     return geom(-k, -1) * geom(0, k - 2) + \
         (geom(0, l - k) * geom(0, m - k)).shift(k)
 
 
 def _klein_top_series(b, c, d):
     """Series for the (b*alpha + c*beta + d*gamma)-suspension at the top level."""
+    if sum(x < 0 for x in (b, c, d)) % 2:
+        # duality: exponent e of the reflected twist is degree -e-3 here
+        return _reverse(_klein_top_series(-1 - b, -1 - c, -1 - d)).shift(-3)
     sgn = sorted((b, c, d), reverse=True)
     pos = [x for x in sgn if x > 0]
     neg = [-x for x in sgn if x < 0]
-    if len(neg) == 0:
+    if not neg:
         if len(pos) <= 2:
             out = LaurentPoly.one()
             for n in pos:
@@ -65,27 +63,10 @@ def _klein_top_series(b, c, d):
             return out
         l, m, n = pos
         return geom(0, l) * geom(0, m) + geom(0, l + m).shift(1) * geom(0, n - 1)
-    if len(neg) == 1:
-        j = neg[0]
-        if len(pos) <= 1:
-            out = geom(-j, -2)
-            for n in pos:
-                out = out * geom(0, n)
-            return out
-        l, m = pos
-        k = j
-        if k == 1:
-            return (geom(0, l - 1) * geom(0, m - 1)).shift(1)
-        return _two_pos_one_neg(l, m, k)
-    if len(neg) == 2:
-        j, k = neg
-        if len(pos) == 0:
-            return geom(-j, -2) * geom(-k, -2)
-        return _one_pos_two_neg(pos[0], j, k)
-    i, j, k = neg
-    inner = geom(0, j + k - 2) * geom(0, i - 2) + \
-        (geom(0, k - 1) * geom(0, j - 1)).shift(i - 1)
-    return inner.shift(-(i + j + k))
+    j, k = neg
+    if not pos:
+        return geom(-j, -2) * geom(-k, -2)
+    return _one_pos_two_neg(pos[0], j, k)
 
 
 def poincare_K(v: RepK):

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from . import bredon
 from .groups import KLEIN
-from .mackey import (DUAL_NAMES, catalog, display_terms, format_name_expr,
+from .mackey import (DUAL_NAMES, catalog, display_terms, dual, format_name_expr,
                      identify, parse_name_expr, restrict_to)
 from .reps import RepC2, RepK, restrict_rep
 
@@ -517,18 +517,18 @@ def restriction_consistency(n):
 
 
 def slice_predicates(m):
-    """Eilenberg-MacLane slice tests: 0-slice, 1-slice, (-1)-slice."""
-    gd = m.gd
-    if m.group == "C2":
-        res_ok = m.res_edge("C2", "e").kernel_basis() == ()
-        tr_ok = m.tr_edge("C2", "e").rank() == m.dim("C2")
-        return {"is_zero_slice_EM": True, "is_one_slice_EM": res_ok,
-                "is_minus_one_slice_EM": tr_ok}
-    joint = m.res_edge("K", "L").vstack(m.res_edge("K", "D")).vstack(m.res_edge("K", "R"))
-    inj = joint.kernel_basis() == () and all(
-        m.res_edge(h, "e").kernel_basis() == () for h in gd.cyclics)
-    jt = m.tr_edge("K", "L").hstack(m.tr_edge("K", "D")).hstack(m.tr_edge("K", "R"))
-    surj = jt.rank() == m.dim("K") and all(
-        m.tr_edge(h, "e").rank() == m.dim(h) for h in gd.cyclics)
-    return {"is_zero_slice_EM": True, "is_one_slice_EM": inj,
-            "is_minus_one_slice_EM": surj}
+    """Eilenberg-MacLane slice tests: 0-slice, 1-slice, (-1)-slice.
+
+    HM is a 1-slice when the restrictions out of each level are jointly
+    injective, and a (-1)-slice when its dual is a 1-slice: the transfers
+    into each level are jointly surjective.
+    """
+    def one_slice(x):
+        joint = {}
+        for u, lo in x.gd.edges:
+            r = x.res_edge(u, lo)
+            joint[u] = joint[u].vstack(r) if u in joint else r
+        return all(j.kernel_basis() == () for j in joint.values())
+
+    return {"is_zero_slice_EM": True, "is_one_slice_EM": one_slice(m),
+            "is_minus_one_slice_EM": one_slice(dual(m))}

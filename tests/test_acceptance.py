@@ -36,7 +36,7 @@ def test_criterion_02_c2_calibration():
 
 def test_criterion_03_duality():
     start = time.time()
-    rep = verify.suite_duality(box=3, a_box=4)
+    rep = verify.suite_duality(box=3)
     assert rep.passed, rep.failures[:5]
     assert rep.checked == 3087
     report("3 duality", f"{rep.checked} representations, {time.time() - start:.1f}s")
@@ -149,7 +149,7 @@ def test_criterion_08_spectral_sequences():
 
 
 def test_criterion_09_axioms_and_involutions():
-    rep = verify.suite_axioms(random_count=10000)
+    rep = verify.suite_axioms()
     assert rep.passed, rep.failures[:5]
     assert rep.checked == 10047
     report("9 axioms and involutions",

@@ -92,6 +92,13 @@ def test_verify_exit_codes(tmp_path):
     bad.write_text(json.dumps(doc))
     code, text = run(["verify", "--suite", "axioms", "--file", str(bad)])
     assert code == 1 and "FAIL" in text
+    # so does a Klein functor whose only fault is a nonzero tr . res
+    from kleinmackey.mackey import build_mackey
+    tr_res = build_mackey("K", (2, 1, 0, 0, 0), res={("K", "L"): [[1, 0]]},
+                          tr={("K", "L"): [[0], [1]]})
+    bad.write_text(json.dumps(tr_res.to_json_dict()))
+    code, text = run(["verify", "--suite", "axioms", "--file", str(bad)])
+    assert code == 1 and "supplied functor: tr L>K . res K>L != 0" in text
 
 
 def test_mackey_c2_name_expression(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 from hypothesis import given, settings, strategies as st
@@ -105,6 +106,17 @@ def test_printed_two_pos_formula_fails_on_corners():
     assert printed.as_dict().get(0, 0) == 1 and true.as_dict().get(0, 0) == 0
     # and agrees with the printed formula away from the corners
     assert two_pos_one_neg_printed(3, 3, 2) == K(0, 3, 3, -2)
+
+
+def test_all_level_series_pinned_on_a_wide_box():
+    # pins every branch of the top series, the duality-derived odd sign
+    # patterns included, over |b|, |c|, |d| <= 12
+    digest = hashlib.sha256()
+    span = range(-12, 13)
+    for b, c, d in itertools.product(span, span, span):
+        digest.update(repr(sorted(poincare_K(RepK(0, b, c, d)).items())).encode())
+    assert digest.hexdigest() == \
+        "85602b133fe7dbb9bd973745624169818e58b647132216aa23e63f1c32b02742"
 
 
 def test_level_series_match_oracle_small_box():

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from kleinmackey import bredon, sschart
 from kleinmackey import mackey as mk
-from kleinmackey.mackey import (CATALOG_ATOMS, DUAL_NAMES, catalog, catalog_c2,
-                                check_axioms, direct_sum, dual, expr_to_mackey,
+from kleinmackey.mackey import (CATALOG_ATOMS, DUAL_NAMES, build_mackey, catalog,
+                                catalog_c2, check_axioms, direct_sum, dual, expr_to_mackey,
                                 fingerprint, format_name_expr, hom_space,
                                 identify, inflate, is_isomorphic,
                                 mackey_from_json, parse_name_expr,
@@ -53,6 +53,16 @@ def test_axioms_detect_corruption():
     bad = mackey_from_json(doc)
     failures = check_axioms(bad)
     assert any("res K>R . tr R>K" in f for f in failures)
+
+
+def test_axioms_check_tr_res_on_every_edge():
+    k = build_mackey("K", (2, 1, 0, 0, 0), res={("K", "L"): [[1, 0]]},
+                     tr={("K", "L"): [[0], [1]]})
+    assert check_axioms(k) == ["tr L>K . res K>L != 0"]
+    # the same shape over C2 fails the same rule
+    c2 = build_mackey("C2", (2, 1), res={("C2", "e"): [[1, 0]]},
+                      tr={("C2", "e"): [[0], [1]]})
+    assert check_axioms(c2) == ["tr e>C2 . res C2>e != 0"]
 
 
 def test_dual_names_are_the_papers_pairing():
