@@ -19,13 +19,7 @@ def main(ns=(5, 6, 7, 8, 9, 10, 11, 12, 20)):
         if n <= 10:
             diffs = sschart.canned_differentials(n)
         else:
-            try:
-                patterns = sschart.solve_differentials(chart, cap=200)
-                diffs = patterns[0] if patterns else ()
-                note = f"{len(patterns)} consistent pattern(s); showing the first"
-            except sschart.PatternCapExceeded as exc:
-                diffs = exc.patterns[0]
-                note = f"more than {len(exc.patterns)} patterns; showing the first"
+            diffs, note = sschart.first_solution(chart, 200)
         for fmt, ext in (("text", "txt"), ("json", "json"), ("svg", "svg")):
             path = os.path.join("out", f"chart_n{n}.{ext}")
             body = sschart.render(chart, fmt, diffs, note)

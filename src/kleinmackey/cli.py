@@ -18,10 +18,6 @@ from .mackey import (catalog, catalog_c2, expr_dims, format_name_expr, identify,
 from .reps import RepC2, RepK, parse_rep, parse_rep_c2
 
 
-class UsageError(Exception):
-    pass
-
-
 # The largest sphere the oracle engine takes, counted in cells of its complex.
 # At this size a --coeff F query takes about a minute: 35(alpha+beta+gamma),
 # 89531 cells, took 47-59 s on a 2-core x86-64 host with Python 3.11.
@@ -60,7 +56,7 @@ def cmd_poincare(args, out):
             _emit(out, f"{lv}: {table[lv].pretty()}")
     else:
         if level not in table:
-            raise UsageError(f"no level {level!r} for this group")
+            raise ValueError(f"no level {level!r} for this group")
         _emit(out, table[level].pretty())
     return 0
 
@@ -69,12 +65,12 @@ def cmd_homotopy(args, out):
     v = _parse_any_rep(args.rep)
     group = "K" if isinstance(v, RepK) else "C2"
     if args.level != "all" and args.level not in group_by_name(group).levels:
-        raise UsageError(f"no level {args.level!r} for this group")
+        raise ValueError(f"no level {args.level!r} for this group")
     if args.engine == "closed":
         a = v.a - v.b
         k = v.b
         if group == "K" and (v.c, v.d) != (k, k):
-            raise UsageError("closed engine needs a suspension of the form "
+            raise ValueError("closed engine needs a suspension of the form "
                              "a + k rho; poincare gives the level series "
                              "of other twists")
         table = slc.graded_homotopy(a, k, parse_name_expr(args.coeff, group), group)
@@ -83,7 +79,7 @@ def cmd_homotopy(args, out):
     else:
         cells = oracle_cell_count(v)
         if cells > MAX_ORACLE_CELLS:
-            raise UsageError(f"S^V has {cells} cells, more than the oracle "
+            raise ValueError(f"S^V has {cells} cells, more than the oracle "
                              f"engine's bound of {MAX_ORACLE_CELLS}")
         found = []
         for d, m in sorted(bredon.homotopy(v, args.coeff).items()):
@@ -182,13 +178,7 @@ def cmd_chart(args, out):
     diffs = ()
     solved_note = None
     if args.solve:
-        try:
-            patterns = sschart.solve_differentials(chart, cap=args.cap)
-            solved_note = f"{len(patterns)} consistent pattern(s)"
-            diffs = patterns[0] if patterns else ()
-        except sschart.PatternCapExceeded as exc:
-            solved_note = f"more than {len(exc.patterns)} patterns (truncated)"
-            diffs = exc.patterns[0] if exc.patterns else ()
+        diffs, solved_note = sschart.first_solution(chart, args.cap)
     elif args.group == "K" and args.n <= 10:
         diffs = sschart.canned_differentials(args.n)
     text = sschart.render(chart, args.format, diffs, solved_note)
@@ -220,11 +210,11 @@ def cmd_verify(args, out):
     kwargs = {}
     if args.box is not None:
         if args.suite not in ("hk-oracle", "duality"):
-            raise UsageError(f"suite {args.suite} takes no --box")
+            raise ValueError(f"suite {args.suite} takes no --box")
         kwargs["box"] = args.box
     if args.file is not None:
         if args.suite != "axioms":
-            raise UsageError(f"suite {args.suite} takes no --file")
+            raise ValueError(f"suite {args.suite} takes no --file")
         with open(args.file) as fh:
             kwargs["mackey_json"] = json.load(fh)
     report = verify.run_suite(args.suite, **kwargs)
@@ -310,7 +300,7 @@ def main(argv=None, out=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args, out)
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

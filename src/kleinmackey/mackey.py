@@ -142,11 +142,7 @@ def _json_matrix(rows, key, n_rows, n_cols):
 
 
 def zero_mackey(group="K"):
-    gd = group_by_name(group)
-    n = len(gd.edges)
-    return Mackey(group, (0,) * len(gd.levels),
-                  tuple(BitMatrix.zeros(0, 0) for _ in range(n)),
-                  tuple(BitMatrix.zeros(0, 0) for _ in range(n)))
+    return build_mackey(group, (0,) * len(group_by_name(group).levels))
 
 
 def build_mackey(group, dims, res=None, tr=None):
@@ -199,17 +195,10 @@ def inflate(h, m):
         raise ValueError(f"not a cyclic subgroup: {h!r}")
     if m.group != "C2":
         raise ValueError("inflation along a cyclic quotient needs a C2 functor")
-    top, bot = m.dim("C2"), m.dim("e")
-    dims = {"K": top, "L": 0, "D": 0, "R": 0, "e": 0}
-    dims[h] = bot
-    gd = group_by_name("K")
-    res = {}
-    tr = {}
-    for u, lo in gd.edges:
-        if (u, lo) == ("K", h):
-            res[(u, lo)] = m.res_edge("C2", "e").to_lists()
-            tr[(u, lo)] = m.tr_edge("C2", "e").to_lists()
-    return build_mackey("K", tuple(dims[lv] for lv in gd.levels), res, tr)
+    dims = {"K": m.dim("C2"), h: m.dim("e")}
+    return build_mackey("K", tuple(dims.get(lv, 0) for lv in group_by_name("K").levels),
+                        res={("K", h): m.res_edge("C2", "e").to_lists()},
+                        tr={("K", h): m.tr_edge("C2", "e").to_lists()})
 
 
 def restrict_to(m, h):

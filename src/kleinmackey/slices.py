@@ -6,15 +6,22 @@ through n = 10 (with the exotic cofiber node), and the cyclic-subgroup
 restriction consistency check.
 
 The homotopy of S^{a + k rho} ∧ HM is tabulated per atom M for k >= 0
-only (one rho untwists F*, m* and mg* to shifted F or f, mg and m); three
-exact rules give the rest:
+only (one rho untwists F*, m* and mg* to shifted F or f, mg and m); exact
+rules give the rest, so every catalog atom of either group has a table:
 
 * k < 0 is the dual of the mirrored table: pi_n(S^V ∧ HM) is the dual of
   pi_{-n}(S^{-V} ∧ HM*), so degrees are negated and names dualized;
 * an inflated Klein atom phi*_h X has the C2 table of X, with F, F* and f
   renamed phi_h(.);
 * shared shapes: k = 0 and the geometric atom g give one term, in degree
-  a + k, and f shares the formula of F, shifted by one step.
+  a + k, and f shares the formula of F, shifted by one step;
+* for k >= 1 the short exact sequences w -> F -> g, g -> F* -> w*,
+  g^3 -> W -> w and w* -> W* -> g^3 give the w and W family, since the
+  homotopy of S^{a + k rho} ∧ Hg^j is g^j in degree a + k alone: w is F
+  minus g in degree a + k, w* is F* plus g in degree a + k + 1, W* is w*
+  plus g^3 in degree a + k, and W is w minus g^3 in degree a + k + 1, except
+  at k = 1, where that degree of w is phi*_LDR F, onto g^3 with kernel
+  phi*_LDR f.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import bredon
 from .groups import KLEIN
 from .mackey import (DUAL_NAMES, catalog, display_terms, dual, format_name_expr,
                      identify, parse_name_expr, restrict_to)
@@ -177,7 +183,9 @@ def _merge(table, degree, names):
     cur = dict(table.get(degree, ()))
     for atom, mult in names:
         cur[atom] = cur.get(atom, 0) + mult
-    table[degree] = tuple(sorted(cur.items()))
+    table[degree] = tuple(sorted((atom, m) for atom, m in cur.items() if m))
+    if not table[degree]:
+        del table[degree]
 
 
 def _g(mult):
@@ -185,6 +193,12 @@ def _g(mult):
 
 
 _PHI_LDR_F = parse_name_expr("phiLDR(F)")
+# phi*_LDR F -> g^3 is onto with kernel phi*_LDR f
+_PHI_LDR_F_TO_f = tuple((x, -1) for x, _ in _PHI_LDR_F) + parse_name_expr("phiLDR(f)")
+
+# a short exact sequence: atom -> (neighbour, j, step), the atom's table being
+# the neighbour's with g^j added in degree a + k + step
+_SES = {"w": ("F", -1, 0), "w*": ("F*", 1, 1), "W*": ("w*", 3, 0), "W": ("w", -3, 1)}
 
 # one rho untwists an atom: (group, atom) -> (suspension shift, atom)
 _UNTWIST = {("K", "F*"): (4, "F"), ("K", "m*"): (2, "mg"), ("K", "mg*"): (2, "m"),
@@ -197,13 +211,18 @@ def _relabel(table, rename, sign=1):
 
 
 def _atom_homotopy(group, a, k, atom):
-    """Closed-form homotopy of the (a + k rho)-suspension of one atom, or None."""
+    """Closed-form homotopy of the (a + k rho)-suspension of one atom."""
     if k < 0:
         # pi_n(S^V ∧ HM) is the dual of pi_{-n}(S^{-V} ∧ HM*)
         table = _atom_homotopy(group, -a, -k, DUAL_NAMES[atom])
-        return None if table is None else _relabel(table, DUAL_NAMES.__getitem__, -1)
+        return _relabel(table, DUAL_NAMES.__getitem__, -1)
     if k == 0 or atom == "g":
         return {a + k: ((atom, 1),)}
+    if atom in _SES:
+        base, j, step = _SES[atom]
+        out = _atom_homotopy(group, a, k, base)
+        _merge(out, a + k + step, _PHI_LDR_F_TO_f if (atom, k) == ("W", 1) else _g(j))
+        return out
     if (group, atom) in _UNTWIST:
         shift, base = _UNTWIST[group, atom]
         return _atom_homotopy(group, a + shift, k - 1, base)
@@ -227,50 +246,25 @@ def _atom_homotopy(group, a, k, atom):
         for i in range(k + s, 2 * k + s):
             _merge(out, i + a, _g(2 * (i - k) + 1 - 3 * s))
         return out
-    if atom in ("m", "mg"):
-        _merge(out, 2 * k + a, _PHI_LDR_F)
-        for i in range(k + 1, 2 * k):
-            _merge(out, i + a, _g(3))
-        _merge(out, k + a, _g(1 if atom == "m" else 2))
-        return out
-    return None
-
-
-def graded_homotopy(a, k, coeff, group="K", allow_oracle=False):
-    """Homotopy names of the (a + k rho)-suspension of H(coeff) over a group.
-
-    Homotopy is additive over coefficient sums, so each atom is dispatched
-    to its closed form; atoms without one (the w and W family) go through
-    the chain oracle when allowed.
-    """
-    out = {}
-    for atom, mult in coeff:
-        table = _atom_homotopy(group, a, k, atom)
-        if table is None:
-            if not allow_oracle:
-                raise ValueError(f"no closed form for coefficient {atom!r}")
-            v = RepK(a + k, k, k, k) if group == "K" else RepC2(a + k, k)
-            table = oracle_homotopy(v, ((atom, 1),))
-        for deg, names in table.items():
-            _merge(out, deg, tuple((name, mult * m) for name, m in names))
+    # m and mg
+    _merge(out, 2 * k + a, _PHI_LDR_F)
+    for i in range(k + 1, 2 * k):
+        _merge(out, i + a, _g(3))
+    _merge(out, k + a, _g(1 if atom == "m" else 2))
     return out
 
 
-def oracle_homotopy(v, coeff):
-    """Homotopy names of the v-suspension of H(coeff) from the oracle.
+def graded_homotopy(a, k, coeff, group="K"):
+    """Homotopy names of the (a + k rho)-suspension of H(coeff) over a group.
 
-    v is a Klein or a C2 representation.  Degrees with zero homotopy are
-    left out, and a functor that is not a catalog sum raises ValueError;
-    cli.cmd_homotopy and verify.suite_figure1, which also name oracle
-    output, report such a functor instead.
+    Homotopy is additive over coefficient sums, so each atom is dispatched
+    to its closed form; every catalog atom has one, and the chain oracle is
+    never run.
     """
     out = {}
-    for deg, m in bredon.homotopy(v, format_name_expr(coeff)).items():
-        expr = identify(m)
-        if expr is None:
-            raise ValueError(f"oracle value not a catalog sum at degree {deg}")
-        if expr:
-            out[deg] = expr
+    for atom, mult in coeff:
+        for deg, names in _atom_homotopy(group, a, k, atom).items():
+            _merge(out, deg, tuple((name, mult * m) for name, m in names))
     return out
 
 
@@ -361,7 +355,7 @@ def _node(kind, label, i, k, a, names, summand_of=None, note=""):
         hom = tuple(sorted(cofiber_node_homotopy(a).items()))
         return TowerNode(kind, label, i, susp, "C", hom, summand_of, note)
     coeff = parse_name_expr(names)
-    hom = tuple(sorted(graded_homotopy(a, k, coeff, allow_oracle=True).items()))
+    hom = tuple(sorted(graded_homotopy(a, k, coeff).items()))
     return TowerNode(kind, label, i, susp, coeff, hom, summand_of, note)
 
 

@@ -279,6 +279,17 @@ def solve_differentials(chart, cap=20000):
     return sorted(patterns)
 
 
+def first_solution(chart, cap):
+    """The first solver pattern, or (), and a note on how many there are."""
+    try:
+        patterns = solve_differentials(chart, cap=cap)
+        note = f"{len(patterns)} consistent pattern(s)"
+    except PatternCapExceeded as exc:
+        patterns = exc.patterns
+        note = f"more than {len(patterns)} patterns (truncated)"
+    return (patterns[0] if patterns else ()), note
+
+
 def euler_check(n):
     """Alternating sum of chart dimensions must be (-1)^n at every level."""
     chart = build_E1(n)

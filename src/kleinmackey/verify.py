@@ -169,6 +169,24 @@ def suite_slices_restriction():
     return rep
 
 
+def oracle_homotopy(v, coeff):
+    """The oracle's side of slices.graded_homotopy: homotopy names of the
+    v-suspension of H(coeff), v a Klein or a C2 representation.
+
+    Degrees with zero homotopy are left out, and a functor that is not a
+    catalog sum raises ValueError; cli.cmd_homotopy and suite_figure1, which
+    also name oracle output, report such a functor instead.
+    """
+    out = {}
+    for deg, m in bredon.homotopy(v, format_name_expr(coeff)).items():
+        expr = identify(m)
+        if expr is None:
+            raise ValueError(f"oracle value not a catalog sum at degree {deg}")
+        if expr:
+            out[deg] = expr
+    return out
+
+
 def suite_slice_homotopy():
     """Graded homotopy tables of the slice building blocks versus the oracle, k <= 3."""
     rep = Report("slice-homotopy")
@@ -185,7 +203,7 @@ def suite_slice_homotopy():
         expr = parse_name_expr(coeff)
         try:
             formula = slc.graded_homotopy(v.a - v.b, v.b, expr)
-            oracle = slc.oracle_homotopy(v, expr)
+            oracle = oracle_homotopy(v, expr)
         except ValueError as exc:
             rep.fail(f"{coeff} at {v.coeffs()}: {exc}")
             continue

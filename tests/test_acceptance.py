@@ -104,10 +104,10 @@ def test_criterion_05_slices_vs_towers():
                 continue
             assert i in parts, f"tower for n={n} misses the {i}-slice"
             formula = sl.homotopy_of_slice(cell)
-            assert sl.oracle_homotopy(cell.susp, cell.coeff) == formula
+            assert verify.oracle_homotopy(cell.susp, cell.coeff) == formula
             agg = {}
             for susp, coeff in parts[i]:
-                for d, names in sl.oracle_homotopy(susp, coeff).items():
+                for d, names in verify.oracle_homotopy(susp, coeff).items():
                     sl._merge(agg, d, names)
             assert agg == formula, (n, i)
             checked += 1

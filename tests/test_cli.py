@@ -65,6 +65,7 @@ def test_homotopy_engines_agree():
         ["--rep=-1,-3", "--coeff", "F* + g", "--level", "C2"],
         ["--rep=1,1", "--coeff", "F"],
         ["--rep=-2,-3", "--coeff", "F", "--level", "C2"],
+        ["--rep=2,1,1,1", "--coeff", "W + w*", "--level", "all"],
     ]
     for argv in cases:
         texts = [run(["homotopy", "--engine", engine] + argv)
@@ -209,6 +210,22 @@ def test_tower_json_has_cofiber():
     assert kinds["P^10"] == "C"
     p88 = next(node for node in nodes if node["label"] == "P^8_8")
     assert {"degree": 8, "mackey": "F"} in p88["homotopy"]
+
+
+def test_tower_svg():
+    from xml.etree import ElementTree
+
+    from kleinmackey.slices import tower_K
+    code, text = run(["tower", "--n", "9", "--format", "svg"])
+    assert code == 0 and run(["tower", "--n", "9", "--format", "svg"]) == (code, text)
+    assert text.startswith("<svg") and text.endswith("</svg>\n")
+    rows = ElementTree.fromstring(text).findall("{http://www.w3.org/2000/svg}text")
+    labels = [row.text for row in rows if row.get("x") == "20"]
+    forms = [row.text for row in rows if row.get("x") == "120"]
+    nodes = tower_K(9)
+    assert labels == [f"[{node.label}]" if node.kind == "summand" else node.label
+                      for node in nodes]
+    assert forms == [node.pretty() for node in nodes]
 
 
 def _readme_examples():

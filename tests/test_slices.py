@@ -1,6 +1,7 @@
 import pytest
 
 from kleinmackey import slices as sl
+from kleinmackey.verify import oracle_homotopy
 from kleinmackey.mackey import catalog, format_name_expr, parse_name_expr
 from kleinmackey.reps import RepC2, RepK
 
@@ -118,14 +119,15 @@ def test_homotopy_of_slice_examples():
     assert table == {5: "phiLDR(F)", 4: "g^3"}
     cell = sl.slice_K(5, 8)
     assert hom_names(sl.homotopy_of_slice(cell)) == {2: "g"}
-    with pytest.raises(ValueError):
-        sl.graded_homotopy(0, 1, parse_name_expr("w*"))
+    # w* is F* plus g one degree above a + k
+    assert hom_names(sl.graded_homotopy(0, 1, parse_name_expr("w*"))) == \
+        {2: "g", 4: "F"}
 
 
 def test_bottom_slice_matches_oracle():
     for n in range(0, 13):
         cell = sl.slice_K(n, n)
-        oracle = sl.oracle_homotopy(cell.susp, cell.coeff)
+        oracle = oracle_homotopy(cell.susp, cell.coeff)
         assert sl.homotopy_of_slice(cell) == oracle, n
 
 
@@ -227,19 +229,23 @@ def test_mstar_and_mgstar_twisted_tables_match_oracle():
         for k in (1, 2):
             v = RepK(k, k, k, k)
             formula = sl.graded_homotopy(0, k, parse_name_expr(coeff))
-            assert formula == sl.oracle_homotopy(v, parse_name_expr(coeff)), (coeff, k)
+            assert formula == oracle_homotopy(v, parse_name_expr(coeff)), (coeff, k)
 
 
-CLOSED_K_ATOMS = ("F", "F*", "f", "g", "m", "m*", "mg", "mg*") + tuple(
+# the w and W family is derived from its neighbours, so it gets the wider range
+SES_ATOMS = ("w", "w*", "W", "W*")
+CLOSED_K_ATOMS = ("F", "F*", "f", "g", "m", "m*", "mg", "mg*") + SES_ATOMS + tuple(
     f"phi{h}({x})" for h in "LDR" for x in ("F", "F*", "f"))
-CLOSED_GRID = [("K", atom, k) for atom in CLOSED_K_ATOMS for k in range(-3, 4)] + \
+CLOSED_GRID = [("K", atom, k) for atom in CLOSED_K_ATOMS
+               for k in (range(-6, 7) if atom in SES_ATOMS else range(-3, 4))] + \
     [("C2", atom, k) for atom in ("F", "F*", "f", "g") for k in range(-4, 5)]
 
 
 @pytest.mark.parametrize("group,atom,k", CLOSED_GRID)
 def test_closed_forms_match_oracle_at_every_twist(group, atom, k):
-    # negative twists come from the dual table, inflated atoms from the C2 one
+    # negative twists come from the dual table, inflated atoms from the C2
+    # one, and the w and W family from four short exact sequences
     for a in (-1, 0, 1):
         v = RepK(a + k, k, k, k) if group == "K" else RepC2(a + k, k)
         expr = ((atom, 1),)
-        assert sl.graded_homotopy(a, k, expr, group) == sl.oracle_homotopy(v, expr), a
+        assert sl.graded_homotopy(a, k, expr, group) == oracle_homotopy(v, expr), a

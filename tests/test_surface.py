@@ -177,3 +177,41 @@ def test_every_definition_has_a_caller_or_a_reason():
     assert sorted(set(ALLOWED) - unused) == []
     assert len(ALLOWED) <= 6 and all(reason for reason in ALLOWED.values())
 
+
+# the closed engine: closed forms, slice tables and charts
+CLOSED_ENGINE = ("hk", "slices", "sschart")
+
+
+def _imported_modules(module, modules):
+    """Package modules a module imports; "__init__" for the package itself,
+    which re-exports the oracle."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = _import_module(node, modules)
+            if source:
+                found.add(source)
+            elif _is_package(node):
+                found.update(a.name if a.name in modules else "__init__"
+                             for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "kleinmackey":
+                    found.add(rest if rest in modules else "__init__")
+    return found
+
+
+def test_closed_engine_imports_nothing_from_the_oracle():
+    # neither directly nor through another package module, so the closed
+    # engine cannot run bredon and the two engines stay independent
+    modules = _package_modules() + ["__init__"]
+    for start in CLOSED_ENGINE:
+        seen, todo = set(), [start]
+        while todo:
+            module = todo.pop()
+            if module not in seen:
+                seen.add(module)
+                todo.extend(_imported_modules(module, modules))
+        assert "bredon" not in seen, f"{start} reaches bredon through {sorted(seen)}"
