@@ -11,8 +11,8 @@ from .bredon import (homotopy, homotopy_level_series, smash, sphere_complex,
 from .f2 import BitMatrix
 from .hk import poincare, poincare_C2, poincare_K
 from .laurent import LaurentPoly, geom
-from .mackey import (Mackey, catalog, catalog_c2, check_axioms, direct_sum,
-                     dual, fingerprint, identify, inflate, restrict_to)
+from .mackey import (Mackey, catalog, check_axioms, direct_sum, dual,
+                     fingerprint, identify, inflate, restrict_to)
 from .reps import RepC2, RepK, parse_rep, restrict_rep
 from .slices import (SliceCell, TowerNode, homotopy_of_slice,
                      restriction_consistency, slice_C2, slice_C2_f, slice_K,

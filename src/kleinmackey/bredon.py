@@ -30,7 +30,6 @@ from .f2 import BitMatrix, homology_reps
 from .groups import char_twist, group_by_name
 from .laurent import LaurentPoly
 from .mackey import Mackey, expr_to_mackey, parse_name_expr
-from .reps import RepC2, RepK
 
 
 @dataclass(frozen=True)
@@ -188,17 +187,12 @@ def smash(c1, c2):
 
 
 def sphere_complex(v):
-    """Cell complex of the virtual-representation sphere S^V."""
-    if isinstance(v, RepK):
-        group, powers = "K", (("alpha", v.b), ("beta", v.c), ("gamma", v.d))
-    elif isinstance(v, RepC2):
-        group, powers = "C2", (("sigma", v.b),)
-    else:
-        raise TypeError(f"not a representation: {v!r}")
-    out = trivial_suspension(v.a, group)
-    for char, n in powers:
+    """Cell complex of the virtual-representation sphere S^V, smashing in
+    the characters in coeffs() order."""
+    out = trivial_suspension(v.a, v.group)
+    for char, n in zip(group_by_name(v.group).char_kernels, v.coeffs()[1:]):
         if n:
-            out = smash(out, character_sphere(char, n, group))
+            out = smash(out, character_sphere(char, n, v.group))
     return out
 
 

@@ -13,9 +13,9 @@ import sys
 from . import bredon, hk, sschart, verify
 from . import slices as slc
 from .groups import group_by_name
-from .mackey import (catalog, catalog_c2, expr_dims, format_name_expr, identify,
+from .mackey import (catalog, expr_dims, format_name_expr, identify,
                      mackey_from_json, parse_name_expr)
-from .reps import RepC2, RepK, parse_rep, parse_rep_c2
+from .reps import parse_rep
 
 
 # The largest sphere the oracle engine takes, counted in cells of its complex.
@@ -26,17 +26,10 @@ MAX_ORACLE_CELLS = 90000
 
 def oracle_cell_count(v):
     """Cells of the oracle's complex for S^v, computed without building it."""
-    if isinstance(v, RepC2):
+    if v.group == "C2":
         return 1 + abs(v.b)
     b, c, d = abs(v.b), abs(v.c), abs(v.d)
     return (1 + b) * (1 + c) * (1 + d) + b * c * d
-
-
-def _parse_any_rep(text):
-    parts = text.split(",")
-    if len(parts) == 2:
-        return parse_rep_c2(text)
-    return parse_rep(text)
 
 
 def _emit(out, text):
@@ -44,13 +37,13 @@ def _emit(out, text):
 
 
 def cmd_poincare(args, out):
-    v = _parse_any_rep(args.rep)
+    v = parse_rep(args.rep)
     table = hk.poincare(v)
     if args.format == "json":
         doc = {lv: p.to_json_dict() for lv, p in table.items()}
         _emit(out, json.dumps(doc, indent=2, sort_keys=True))
         return 0
-    level = args.level or ("C2" if isinstance(v, RepC2) else "K")
+    level = args.level or group_by_name(v.group).levels[0]
     if level == "all":
         for lv in table:
             _emit(out, f"{lv}: {table[lv].pretty()}")
@@ -62,17 +55,17 @@ def cmd_poincare(args, out):
 
 
 def cmd_homotopy(args, out):
-    v = _parse_any_rep(args.rep)
-    group = "K" if isinstance(v, RepK) else "C2"
+    v = parse_rep(args.rep)
+    group = v.group
     if args.level != "all" and args.level not in group_by_name(group).levels:
         raise ValueError(f"no level {args.level!r} for this group")
     if args.engine == "closed":
-        a = v.a - v.b
-        k = v.b
-        if group == "K" and (v.c, v.d) != (k, k):
+        try:
+            a, k = slc._rho_decompose(v)
+        except ValueError:
             raise ValueError("closed engine needs a suspension of the form "
                              "a + k rho; poincare gives the level series "
-                             "of other twists")
+                             "of other twists") from None
         table = slc.graded_homotopy(a, k, parse_name_expr(args.coeff, group), group)
         found = [({"degree": d, "identified_name": format_name_expr(e)},
                   expr_dims(e, group)) for d, e in sorted(table.items())]
@@ -108,10 +101,7 @@ def cmd_homotopy(args, out):
 
 
 def cmd_slice(args, out):
-    if args.group == "K":
-        cell = slc.slice_K(args.n, args.i)
-    else:
-        cell = slc.slice_C2(args.n, args.i)
+    cell = (slc.slice_K if args.group == "K" else slc.slice_C2)(args.n, args.i)
     if args.format == "json":
         doc = {"group": args.group, "n": args.n, "i": args.i,
                "trivial": cell.trivial}
@@ -195,10 +185,8 @@ def cmd_mackey(args, out):
     if args.file:
         with open(args.file) as fh:
             m = mackey_from_json(json.load(fh))
-    elif args.group == "C2":
-        m = catalog_c2(args.name)
     else:
-        m = catalog(args.name)
+        m = catalog(args.name, args.group)
     if args.json:
         _emit(out, json.dumps(m.to_json_dict(), indent=2, sort_keys=True))
     else:

@@ -29,6 +29,10 @@ class GroupData:
         name_of = {elems: name for name, elems in subs.items()}
         rep = {(g, h): min(g ^ s for s in subs[h]) for g in self.elements for h in subs}
         cosets = {h: tuple(sorted({rep[(g, h)] for g in self.elements})) for h in subs}
+        # chains down lattice edges, bottom up; of two routes, the edge listed first wins
+        chains = {(lv, lv): (lv,) for lv in self.levels}
+        for up, lo in reversed(self.edges):
+            chains.update({(up, b): (up,) + c for (a, b), c in chains.items() if a == lo})
         tables = {
             "_meet": {(a, b): name_of[subs[a] & subs[b]] for a in subs for b in subs},
             "_join": {(a, b): name_of[frozenset(x ^ y for x in subs[a] for y in subs[b])]
@@ -39,12 +43,10 @@ class GroupData:
                              for h in subs},
             "level_index": {lv: i for i, lv in enumerate(self.levels)},
             "edge_index": {edge: i for i, edge in enumerate(self.edges)},
+            "_chains": chains,
         }
         for attr, table in tables.items():
             object.__setattr__(self, attr, table)  # the dataclass is frozen
-
-    def leq(self, a, b):
-        return self.subgroups[a] <= self.subgroups[b]
 
     def meet(self, a, b):
         return self._meet[(a, b)]
@@ -64,12 +66,10 @@ class GroupData:
 
     def subgroup_chain(self, a, b):
         """Levels from a down to b (inclusive) along lattice edges; needs b <= a."""
-        if a == b:
-            return (a,)
-        for up, lo in self.edges:
-            if up == a and self.leq(b, lo):
-                return (a,) + self.subgroup_chain(lo, b)
-        raise ValueError(f"no chain {a} -> {b}")
+        try:
+            return self._chains[(a, b)]
+        except KeyError:
+            raise ValueError(f"no chain {a} -> {b}") from None
 
 
 KLEIN = GroupData(

@@ -97,4 +97,4 @@ def poincare_C2(v: RepC2):
 
 def poincare(v):
     """Every level's series for a RepK or a RepC2, as a dict keyed by level."""
-    return poincare_K(v) if isinstance(v, RepK) else poincare_C2(v)
+    return (poincare_K if v.group == "K" else poincare_C2)(v)

@@ -3,11 +3,12 @@
 A functor is stored as one dimension per subgroup level plus a restriction
 and a transfer matrix per lattice edge.  All group actions are trivial, so
 the double coset rule collapses to concrete matrix identities that
-check_axioms verifies.  The catalog holds the named functors used
-throughout; identify() writes an arbitrary functor as a sum of catalog
-names by matching additive rank invariants.  hom_space gives a basis of the
-maps between two functors, rank_tuples_of_hom the exact set of their
-levelwise ranks, and is_isomorphic an exact isomorphism test.
+check_axioms verifies.  One catalog holds the named functors of both
+groups, one table per group keyed by its name, and catalog(name, group)
+reads it; identify() writes an arbitrary functor as a sum of catalog names
+by matching additive rank invariants.  hom_space gives a basis of the maps
+between two functors, rank_tuples_of_hom the exact set of their levelwise
+ranks, and is_isomorphic an exact isomorphism test.
 """
 
 from __future__ import annotations
@@ -221,13 +222,6 @@ def _c2_table():
 _C2 = _c2_table()
 
 
-def catalog_c2(name):
-    """A named C2 functor, including sums like "F* + f"."""
-    if name in _C2:
-        return _C2[name]
-    return expr_to_mackey(parse_name_expr(name, "C2"), "C2")
-
-
 def _k_table():
     one = [[1]]
     F = build_mackey("K", (1, 1, 1, 1, 1),
@@ -256,11 +250,12 @@ def _k_table():
     }
     for h in ("L", "D", "R"):
         for c2name in ("F", "F*", "f"):
-            table[f"phi{h}({c2name})"] = inflate(h, catalog_c2(c2name))
+            table[f"phi{h}({c2name})"] = inflate(h, _C2[c2name])
     return table
 
 
 _K = _k_table()
+_TABLES = {"K": _K, "C2": _C2}
 
 CATALOG_ATOMS = tuple(n for n in _K if n != "0")
 
@@ -268,7 +263,7 @@ CATALOG_ATOMS = tuple(n for n in _K if n != "0")
 def _dual_names():
     """The dual of every catalog atom of either group, by exact matrix equality."""
     names = {}
-    for table in (_K, _C2):
+    for table in _TABLES.values():
         atoms = {m: name for name, m in table.items() if name != "0"}
         names.update((name, atoms[dual(m)]) for m, name in atoms.items())
     return names
@@ -277,11 +272,11 @@ def _dual_names():
 DUAL_NAMES = _dual_names()
 
 
-def catalog(name):
-    """A named Klein-group functor, including sums like "phiLDR(F*) + g^2"."""
-    if name in _K:
-        return _K[name]
-    return expr_to_mackey(parse_name_expr(name))
+def catalog(name, group="K"):
+    """A named functor over the group, including sums like "phiLDR(F*) + g^2"."""
+    if name in _TABLES[group]:
+        return _TABLES[group][name]
+    return expr_to_mackey(parse_name_expr(name, group), group)
 
 
 # ---------------------------------------------------------------------------
@@ -309,27 +304,22 @@ def parse_name_expr(text, group="K"):
 
 
 def _expand_atom(base, group):
-    if group == "C2":
-        if base in _C2 and base != "0":
-            return [base]
-        raise ValueError(f"unknown C2 name {base!r}")
     m = re.match(r"^phi(L|D|R|LD|LDR)\((F\*|F|f|g)\)$", base)
-    if m:
+    if m and group == "K":
         parts, inner = m.groups()
         if inner == "g":
             # inflating the C2 geometric functor just gives g again
             return ["g"] * len(parts)
         return [f"phi{h}({inner})" for h in parts]
-    if base in _K and base != "0":
+    if base in _TABLES[group] and base != "0":
         return [base]
-    raise ValueError(f"unknown catalog name {base!r}")
+    raise ValueError(f"unknown {group} catalog name {base!r}")
 
 
 def expr_to_mackey(expr, group="K"):
-    table = _K if group == "K" else _C2
     parts = []
     for atom, mult in expr:
-        parts.extend([table[atom]] * mult)
+        parts.extend([_TABLES[group][atom]] * mult)
     return direct_sum(parts, group=group)
 
 
@@ -374,11 +364,9 @@ def format_name_expr(expr):
 
 def expr_dims(expr, group="K"):
     """Levelwise dimensions of a name expression without building matrices."""
-    gd = group_by_name(group)
-    table = _K if group == "K" else _C2
-    dims = [0] * len(gd.levels)
+    dims = [0] * len(group_by_name(group).levels)
     for atom, mult in expr:
-        for i, d in enumerate(table[atom].dims):
+        for i, d in enumerate(_TABLES[group][atom].dims):
             dims[i] += mult * d
     return tuple(dims)
 
@@ -479,16 +467,13 @@ def _flatten(x):
     return [x]
 
 
-# the atoms in display order; phiLDR(X) is the sum of three of them
-_IDENTIFY_ATOMS_K = tuple(n for n in _DISPLAY_ORDER if not n.startswith("phiLDR"))
-
-
 @lru_cache(maxsize=None)
 def _atom_fingerprints(group):
-    table = _K if group == "K" else _C2
-    atoms = _IDENTIFY_ATOMS_K if group == "K" else ("F", "F*", "f", "g")
+    # the group's atoms in display order; its phiLDR(X), a sum of three
+    # atoms, is in no table
+    table = _TABLES[group]
     return tuple((name, tuple(_flatten(fingerprint(table[name]))))
-                 for name in atoms)
+                 for name in _DISPLAY_ORDER if name in table)
 
 
 @lru_cache(maxsize=None)
@@ -546,56 +531,47 @@ def identify(m):
 
 
 def hom_space(m1, m2):
-    """Basis of Mackey-functor maps m1 -> m2, each as {level: BitMatrix}."""
+    """Basis of Mackey-functor maps m1 -> m2, each as {level: BitMatrix}.
+
+    The unknowns are the entries of the components f_lv: M1(lv) -> M2(lv),
+    row by row: entry (i, j) of f_lv is bit offset[lv] + i * dim1[lv] + j.
+    """
     if m1.group != m2.group:
         raise ValueError("group mismatch")
     gd = m1.gd
-    levels = gd.levels
-    offsets = {}
+    dim1 = dict(zip(gd.levels, m1.dims))
+    offset = {}
     total = 0
-    for lv in levels:
-        offsets[lv] = total
-        total += m1.dim(lv) * m2.dim(lv)
-
-    def var(lv, i, j):
-        # entry (i, j) of f_lv: M1(lv) -> M2(lv), i < dim2, j < dim1
-        return offsets[lv] + i * m1.dim(lv) + j
+    for lv, d2 in zip(gd.levels, m2.dims):
+        offset[lv] = total
+        total += dim1[lv] * d2
 
     rows = []
     # constraint: for each edge (u, lo), one row per entry of
     #   res2 @ f_u == f_lo @ res1      (maps M1(u) -> M2(lo))
     #   tr2 @ f_lo == f_u @ tr1        (maps M1(lo) -> M2(u))
-    # both of the form a @ f_x == f_y @ b
+    # both of the form a @ f_x == f_y @ b.  Entry (i, j) of a @ f_x sums
+    # column j of f_x over the rows that row i of a picks (spread, one bit
+    # per row of f_x); entry (i, j) of f_y @ b sums row i of f_y over the
+    # columns that column j of b picks.
     for u, lo in gd.edges:
         for a, x, y, b in ((m2.res_edge(u, lo), u, lo, m1.res_edge(u, lo)),
                            (m2.tr_edge(u, lo), lo, u, m1.tr_edge(u, lo))):
-            for i in range(a.rows):
-                for j in range(b.cols):
-                    row = 0
-                    for k in range(a.cols):
-                        if a.entry(i, k):
-                            row ^= 1 << var(x, k, j)
-                    for k in range(b.rows):
-                        if b.entry(k, j):
-                            row ^= 1 << var(y, i, k)
+            b_cols = b.transpose().data
+            for i, a_row in enumerate(a.data):
+                spread = sum(1 << k * dim1[x] for k in range(a.cols) if a_row >> k & 1)
+                for j, b_col in enumerate(b_cols):
+                    row = spread << offset[x] + j ^ b_col << offset[y] + i * dim1[y]
                     if row:
                         rows.append(row)
 
     system = BitMatrix(len(rows), total, tuple(rows))
-    basis = []
-    for vec in system.kernel_basis():
-        maps = {}
-        for lv in levels:
-            mat = []
-            for i in range(m2.dim(lv)):
-                r = 0
-                for j in range(m1.dim(lv)):
-                    if (vec >> var(lv, i, j)) & 1:
-                        r |= 1 << j
-                mat.append(r)
-            maps[lv] = BitMatrix(m2.dim(lv), m1.dim(lv), tuple(mat))
-        basis.append(maps)
-    return basis
+    # each component of a kernel vector read back one row at a time
+    return [{lv: BitMatrix(d2, dim1[lv],
+                           tuple(vec >> offset[lv] + i * dim1[lv] & (1 << dim1[lv]) - 1
+                                 for i in range(d2)))
+             for lv, d2 in zip(gd.levels, m2.dims)}
+            for vec in system.kernel_basis()]
 
 
 # rank_tuples_of_hom visits all 2^k parts of the maps below the top level;

@@ -3,7 +3,11 @@
 A Klein-group representation is an integer tuple (a, b, c, d) of
 coefficients on (1, alpha, beta, gamma); column order is fixed that way
 everywhere to avoid transposition bugs.  A C2 representation is (a, b)
-on (1, sigma).
+on (1, sigma).  Both share one arithmetic, and each class names its group
+in the class attribute group, which code reads instead of testing the
+type.  After the trivial coefficient, coeffs() lists the characters in the
+order of group_by_name(v.group).char_kernels.  parse_rep reads the tuples
+of either group.
 """
 
 from __future__ import annotations
@@ -14,62 +18,50 @@ from dataclasses import dataclass
 from .groups import KLEIN
 
 
+class _Rep:
+    """Coefficient-wise arithmetic; a subclass lists its coefficients in coeffs()."""
+
+    @property
+    def dim(self):
+        return sum(self.coeffs())
+
+    def __add__(self, other):
+        pairs = zip(self.coeffs(), other.coeffs(), strict=True)
+        return type(self)(*(x + y for x, y in pairs))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(*(-x for x in self.coeffs()))
+
+    def __rmul__(self, n):
+        return type(self)(*(n * x for x in self.coeffs()))
+
+
 @dataclass(frozen=True)
-class RepK:
+class RepK(_Rep):
     a: int = 0
     b: int = 0
     c: int = 0
     d: int = 0
-
-    @property
-    def dim(self):
-        return self.a + self.b + self.c + self.d
+    group = "K"
 
     def coeffs(self):
         return (self.a, self.b, self.c, self.d)
 
-    def __add__(self, other):
-        return RepK(self.a + other.a, self.b + other.b,
-                    self.c + other.c, self.d + other.d)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return RepK(-self.a, -self.b, -self.c, -self.d)
-
-    def __rmul__(self, n):
-        return RepK(n * self.a, n * self.b, n * self.c, n * self.d)
-
 
 @dataclass(frozen=True)
-class RepC2:
+class RepC2(_Rep):
     a: int = 0
     b: int = 0
-
-    @property
-    def dim(self):
-        return self.a + self.b
+    group = "C2"
 
     def coeffs(self):
         return (self.a, self.b)
 
-    def __add__(self, other):
-        return RepC2(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return RepC2(-self.a, -self.b)
-
-    def __rmul__(self, n):
-        return RepC2(n * self.a, n * self.b)
-
 
 RHO_K = RepK(1, 1, 1, 1)
-
-_CHAR_COEFF = {"alpha": 1, "beta": 2, "gamma": 3}  # index into coeffs()
 
 
 def restrict_rep(v, h):
@@ -91,31 +83,26 @@ def restrict_rep_by_kernels(v, h):
     This is the pairing the sphere cell structures realize (alpha dies on R,
     beta on L, gamma on D); see restrict_rep for the printed convention.
     """
-    triv = v.a
-    sig = 0
-    for char, idx in _CHAR_COEFF.items():
-        if KLEIN.char_kernels[char] == h:
-            triv += v.coeffs()[idx]
-        else:
-            sig += v.coeffs()[idx]
-    return RepC2(triv, sig)
+    fixed = sum(n for ker, n in zip(KLEIN.char_kernels.values(), v.coeffs()[1:])
+                if ker == h)
+    return RepC2(v.a + fixed, v.dim - v.a - fixed)
 
 
 _TERM = re.compile(r"^([+-]?\d*)([abg]?)$")
 
 
 def parse_rep(text):
-    """Parse "a,b,c,d" tuples or symbolic sums like "2+a-3b" over tokens 1,a,b,g."""
+    """Parse "a,b" (C2) or "a,b,c,d" (Klein) tuples, or Klein symbolic sums
+    like "2+a-3b" over tokens 1,a,b,g."""
     text = text.strip()
     if "," in text:
         parts = text.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"expected 4 comma-separated integers: {text!r}")
+        if len(parts) not in (2, 4):
+            raise ValueError(f"expected 2 or 4 comma-separated integers: {text!r}")
         try:
-            a, b, c, d = (int(p) for p in parts)
+            return (RepC2 if len(parts) == 2 else RepK)(*(int(p) for p in parts))
         except ValueError:
             raise ValueError(f"bad representation tuple: {text!r}") from None
-        return RepK(a, b, c, d)
     coeffs = {"": 0, "a": 0, "b": 0, "g": 0}
     terms = re.findall(r"[+-]?[^+-]+", text.replace(" ", ""))
     if not terms:
@@ -135,10 +122,3 @@ def parse_rep(text):
             raise ValueError(f"bad term {term!r} in representation {text!r}")
         coeffs[sym] += n
     return RepK(coeffs[""], coeffs["a"], coeffs["b"], coeffs["g"])
-
-
-def parse_rep_c2(text):
-    parts = text.strip().split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected 2 comma-separated integers: {text!r}")
-    return RepC2(int(parts[0]), int(parts[1]))

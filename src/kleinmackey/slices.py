@@ -27,11 +27,10 @@ rules give the rest, so every catalog atom of either group has a table:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .groups import KLEIN
-from .mackey import (DUAL_NAMES, catalog, display_terms, dual, format_name_expr,
-                     identify, parse_name_expr, restrict_to)
+from .mackey import (DUAL_NAMES, display_terms, dual, expr_to_mackey, identify,
+                     parse_name_expr, restrict_to)
 from .reps import RepC2, RepK, restrict_rep
 
 
@@ -168,12 +167,11 @@ def slice_C2_f(n, i):
 
 
 def _rho_decompose(v):
-    if isinstance(v, RepK):
-        k = v.b
-        if (v.b, v.c, v.d) != (k, k, k):
-            raise ValueError(f"not of the form a + k rho: {v}")
-    else:
-        k = v.b
+    """(a, k) with v = a + k rho, over either group; every character of v
+    has coefficient k."""
+    k = v.b
+    if any(x != k for x in v.coeffs()[1:]):
+        raise ValueError(f"not of the form a + k rho: {v}")
     return v.a - k, k
 
 
@@ -359,7 +357,6 @@ def _node(kind, label, i, k, a, names, summand_of=None, note=""):
     return TowerNode(kind, label, i, susp, coeff, hom, summand_of, note)
 
 
-@lru_cache(maxsize=None)
 def tower_K(n):
     """The printed tower node list for n <= 10; bare slice list above that."""
     if n < 0:
@@ -477,7 +474,7 @@ def tower_slice_parts(n):
 
 def _restrict_coeff(expr, h):
     """Name expression of a Klein coefficient restricted to a cyclic subgroup."""
-    got = identify(restrict_to(catalog(format_name_expr(expr)), h))
+    got = identify(restrict_to(expr_to_mackey(expr), h))
     if got is None:
         raise ValueError(f"restriction of {expr} to {h} is not a C2 catalog sum")
     return got

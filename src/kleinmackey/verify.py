@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from . import bredon, hk, sschart
 from . import slices as slc
 from .mackey import (CATALOG_ATOMS, catalog, check_axioms, dual, direct_sum,
-                     expr_dims, fingerprint, format_name_expr, identify,
-                     mackey_from_json, parse_name_expr)
+                     expr_dims, expr_to_mackey, fingerprint, format_name_expr,
+                     identify, mackey_from_json, parse_name_expr)
 from .reps import RepC2, RepK, RHO_K
 
 
@@ -178,7 +178,7 @@ def oracle_homotopy(v, coeff):
     also name oracle output, report such a functor instead.
     """
     out = {}
-    for deg, m in bredon.homotopy(v, format_name_expr(coeff)).items():
+    for deg, m in bredon.homotopy(v, expr_to_mackey(coeff, v.group)).items():
         expr = identify(m)
         if expr is None:
             raise ValueError(f"oracle value not a catalog sum at degree {deg}")

@@ -103,10 +103,10 @@ def test_verify_exit_codes(tmp_path):
 
 
 def test_mackey_c2_name_expression(capsys):
-    from kleinmackey.mackey import catalog_c2, direct_sum
+    from kleinmackey.mackey import catalog, direct_sum
     code, text = run(["mackey", "--group", "C2", "--name", "F* + f", "--json"])
     assert code == 0
-    summed = direct_sum([catalog_c2("F*"), catalog_c2("f")])
+    summed = direct_sum([catalog("F*", "C2"), catalog("f", "C2")])
     assert json.loads(text) == summed.to_json_dict()
     capsys.readouterr()
     assert run(["mackey", "--group", "C2", "--name", "F + W"]) == (2, "")
@@ -119,6 +119,10 @@ def test_usage_errors(tmp_path, capsys):
     assert run(["poincare", "--rep", "x"])[0] == 2                  # parse error
     assert run(["nonsense"])[0] == 2
     capsys.readouterr()
+    # a C2 tuple reads through the same parser as a Klein one, and so fails alike
+    for rep in ("1,a", "1,2,a,4"):
+        assert run(["poincare", "--rep", rep]) == (2, "")
+        assert capsys.readouterr().err == f"error: bad representation tuple: '{rep}'\n"
     assert run(["chart", "--n", "9", "--solve", "--cap", "-1"]) == (2, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

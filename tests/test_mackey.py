@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from kleinmackey import bredon, sschart
 from kleinmackey import mackey as mk
 from kleinmackey.mackey import (CATALOG_ATOMS, DUAL_NAMES, build_mackey, catalog,
-                                catalog_c2, check_axioms, direct_sum, dual, expr_to_mackey,
+                                check_axioms, direct_sum, dual, expr_to_mackey,
                                 fingerprint, format_name_expr, hom_space,
                                 identify, inflate, is_isomorphic,
                                 mackey_from_json, parse_name_expr,
@@ -38,6 +38,10 @@ def test_catalog_diagrams():
 def test_unknown_name():
     with pytest.raises(ValueError):
         catalog("nope")
+    # a Klein atom is no C2 name, and neither is an inflation
+    for name in ("W", "phiL(F)", "F + m"):
+        with pytest.raises(ValueError, match="unknown C2 catalog name"):
+            catalog(name, "C2")
 
 
 def test_axioms_all_catalog():
@@ -78,7 +82,7 @@ def test_dual_names_are_the_papers_pairing():
 
 
 def test_inflate_examples():
-    m = inflate("R", catalog_c2("F"))
+    m = inflate("R", catalog("F", "C2"))
     assert m.dims == (1, 0, 0, 1, 0)
     assert m.res_edge("K", "R").to_lists() == [[1]]
     assert m.tr_edge("K", "R").is_zero()
@@ -86,12 +90,12 @@ def test_inflate_examples():
 
 
 def test_restrict_to_examples():
-    assert restrict_to(catalog("F"), "L") == catalog_c2("F")
+    assert restrict_to(catalog("F"), "L") == catalog("F", "C2")
     assert restrict_to(catalog("g"), "R").is_zero()
-    assert restrict_to(catalog("mg"), "R") == catalog_c2("g")
+    assert restrict_to(catalog("mg"), "R") == catalog("g", "C2")
     # inflation along one subgroup dies on the others
     for h in ("L", "D", "R"):
-        infl = inflate(h, catalog_c2("F"))
+        infl = inflate(h, catalog("F", "C2"))
         for other in ("L", "D", "R"):
             if other != h:
                 assert restrict_to(infl, other).is_zero()
@@ -104,6 +108,10 @@ def test_direct_sum_examples():
     gg = direct_sum([catalog("g"), catalog("g")])
     assert gg.dims == (2, 0, 0, 0, 0)
     assert direct_sum([catalog("m"), zero_mackey()]) == catalog("m")
+    # the one catalog reads C2 name expressions as it reads Klein ones
+    c2_sum = direct_sum([catalog("F*", "C2"), catalog("f", "C2")])
+    assert catalog("F* + f", "C2") == c2_sum and c2_sum.group == "C2"
+    assert catalog("g^2", "C2") == direct_sum([catalog("g", "C2")] * 2)
 
 
 def test_fingerprint_examples():
@@ -318,11 +326,12 @@ def test_rank_tuples_match_brute_force_on_chart_pairs():
 
 def test_rank_tuples_match_brute_force_on_catalog_sums():
     rng = random.Random(5)
-    atoms = {"K": (CATALOG_ATOMS, catalog), "C2": (("F", "F*", "f", "g"), catalog_c2)}
+    atoms = {"K": CATALOG_ATOMS, "C2": ("F", "F*", "f", "g")}
     compared = 0
     for _ in range(400):
-        names, get = atoms[rng.choice(("K", "C2"))]
-        m1, m2 = (direct_sum([get(a) for a in rng.choices(names, k=rng.randint(1, 3))])
+        group = rng.choice(("K", "C2"))
+        m1, m2 = (direct_sum([catalog(a, group)
+                              for a in rng.choices(atoms[group], k=rng.randint(1, 3))])
                   for _ in range(2))
         if len(hom_space(m1, m2)) <= 12:
             assert rank_tuples_of_hom(m1, m2) == _Maps(m1, m2).all_rank_tuples()
@@ -400,10 +409,11 @@ def test_identify_matches_unpruned_search():
             checked += 1
             unnamed += expected is None
     rng = random.Random(7)
-    atoms = {"K": (CATALOG_ATOMS, catalog), "C2": (("F", "F*", "f", "g"), catalog_c2)}
+    atoms = {"K": CATALOG_ATOMS, "C2": ("F", "F*", "f", "g")}
     for _ in range(400):
-        names, get = atoms[rng.choice(("K", "C2"))]
-        m = direct_sum([get(a) for a in rng.choices(names, k=rng.randint(1, 4))])
+        group = rng.choice(("K", "C2"))
+        m = direct_sum([catalog(a, group)
+                        for a in rng.choices(atoms[group], k=rng.randint(1, 4))])
         expected = _reference_identify(m)
         assert identify(m) == expected
         checked += 1

@@ -5,8 +5,8 @@ from pathlib import Path
 from kleinmackey import bredon as br
 from kleinmackey.f2 import BitMatrix
 from kleinmackey.laurent import LaurentPoly
-from kleinmackey.mackey import (Mackey, catalog, catalog_c2, direct_sum, dual,
-                                fingerprint, format_name_expr, identify)
+from kleinmackey.mackey import (Mackey, catalog, direct_sum, dual, fingerprint,
+                                format_name_expr, identify)
 from kleinmackey.reps import RHO_K, RepC2, RepK
 
 
@@ -288,7 +288,7 @@ def test_with_coefficients_examples():
     assert names(t)[1] == "g"
     # a C2 name expression resolves to the same functor as its explicit sum
     cx = br.sphere_complex(RepC2(0, 2))
-    summed = direct_sum([catalog_c2("F*"), catalog_c2("f")])
+    summed = direct_sum([catalog("F*", "C2"), catalog("f", "C2")])
     assert br.homology(br.with_coefficients(cx, "F* + f")) == \
         br.homology(br.with_coefficients(cx, summed))
 

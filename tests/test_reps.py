@@ -11,6 +11,7 @@ RHO_C2 = RepC2(1, 1)
 
 reps = st.builds(RepK, st.integers(-6, 6), st.integers(-6, 6),
                  st.integers(-6, 6), st.integers(-6, 6))
+c2_reps = st.builds(RepC2, st.integers(-6, 6), st.integers(-6, 6))
 
 
 def test_restrict_examples():
@@ -35,10 +36,16 @@ def test_parse_examples():
     assert parse_rep("0,2,0,-3") == RepK(0, 2, 0, -3)
     assert parse_rep("2+a-3b") == RepK(2, 1, -3, 0)
     assert parse_rep("-g") == RepK(0, 0, 0, -1)
+    # two integers are a C2 representation, on (1, sigma)
+    assert parse_rep("3,-1") == RepC2(3, -1)
+    assert parse_rep(" 0, 2 ").group == "C2" and parse_rep("0,2,0,0").group == "K"
     with pytest.raises(ValueError):
         parse_rep("x")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="2 or 4 comma-separated"):
         parse_rep("1,2,3")
+    for text in ("1,a", "1,2,3,b"):
+        with pytest.raises(ValueError, match="bad representation tuple"):
+            parse_rep(text)
 
 
 # the source's restriction tables: columns (1, alpha, beta, gamma), rows
@@ -60,12 +67,21 @@ def test_printed_restriction_is_kernel_restriction_beta_gamma_swapped(h, v):
     assert restrict_rep_by_kernels(RepK(v.a, v.b, v.d, v.c), h) == want
 
 
-@given(reps, reps, st.sampled_from(["L", "D", "R"]))
-def test_additivity(v, w, h):
+@given(reps, reps, c2_reps, st.sampled_from(["L", "D", "R"]))
+def test_additivity(v, w, u, h):
     assert restrict_rep(v + w, h) == restrict_rep(v, h) + restrict_rep(w, h)
+    # the arithmetic is coefficientwise over either group and keeps the group
+    for x, y in ((v, w), (u, restrict_rep(w, h))):
+        assert (x + y).coeffs() == tuple(p + q for p, q in zip(x.coeffs(), y.coeffs()))
+        assert (x + y) - y == x and -(-x) == x and 3 * x == x + x + x
+        assert (x - y).group == (-x).group == (2 * x).group == x.group
+        assert (x + y).dim == x.dim + y.dim
+    assert (v.group, u.group) == ("K", "C2")
 
 
-@given(reps, st.sampled_from(["L", "D", "R"]))
-def test_restriction_preserves_dimension(v, h):
+@given(reps, c2_reps, st.sampled_from(["L", "D", "R"]))
+def test_restriction_preserves_dimension(v, u, h):
     assert restrict_rep(v, h).dim == v.dim
     assert restrict_rep_by_kernels(v, h).dim == v.dim
+    assert restrict_rep(v, h).group == "C2"
+    assert u.dim == sum(u.coeffs()) and (-u).dim == -u.dim

@@ -218,9 +218,8 @@ def test_slice_predicates():
     assert sl.slice_predicates(catalog("w*"))["is_minus_one_slice_EM"]
     # the three-dimensional duals fail: their lower maps vanish
     assert not sl.slice_predicates(catalog("W*"))["is_one_slice_EM"]
-    from kleinmackey.mackey import catalog_c2
-    assert sl.slice_predicates(catalog_c2("F"))["is_one_slice_EM"]
-    assert sl.slice_predicates(catalog_c2("F*"))["is_minus_one_slice_EM"]
+    assert sl.slice_predicates(catalog("F", "C2"))["is_one_slice_EM"]
+    assert sl.slice_predicates(catalog("F*", "C2"))["is_minus_one_slice_EM"]
 
 
 def test_mstar_and_mgstar_twisted_tables_match_oracle():

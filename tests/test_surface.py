@@ -215,3 +215,30 @@ def test_closed_engine_imports_nothing_from_the_oracle():
                 seen.add(module)
                 todo.extend(_imported_modules(module, modules))
         assert "bredon" not in seen, f"{start} reaches bredon through {sorted(seen)}"
+
+
+REP_TYPES = {"RepK", "RepC2"}
+
+
+def _rep_type_switches(module):
+    """Lines of a module that call isinstance with a representation type."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "isinstance" and len(node.args) == 2:
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) \
+                else [node.args[1]]
+            names = {k.id if isinstance(k, ast.Name) else getattr(k, "attr", None)
+                     for k in kinds}
+            if names & REP_TYPES:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_code_reads_the_group_instead_of_switching_on_the_type():
+    # a representation names its group in v.group; outside reps, code reads
+    # that instead of testing for RepK or RepC2
+    switches = {module: _rep_type_switches(module)
+                for module in _package_modules() + ["__init__"] if module != "reps"}
+    assert {m: lines for m, lines in switches.items() if lines} == {}
