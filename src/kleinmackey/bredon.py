@@ -4,8 +4,12 @@ A representation sphere is modeled by its reduced equivariant cell chain
 complex.  Cells are orbits (one subgroup stabilizer each); differentials are
 stored coefficient-free as "up" maps (a projection of orbits composed with a
 translation) or "down" maps (the formal transpose, appearing in dualized
-complexes).  Evaluating at a subgroup level J with a coefficient functor m
-turns each cell into one copy of m(stab & J) per double coset.  Each entry,
+complexes).  A smash product routes each factor entry to the product
+cells it joins through a table, local to the call, of where its orbits
+land, keyed by the stabilizers and translation; a product cell is found by
+its position among its pair's orbits, with no search.  Evaluating at a
+subgroup level J with a coefficient functor m turns each cell into one
+copy of m(stab & J) per double coset.  Each entry,
 and with trans = 0 each level res/tr chain map, puts one block of m at the
 larger-stabilizer end's coset of r*trans for each coset r of the smaller end:
 the transfer up, or the restriction back.  One placement's nonzero columns,
@@ -110,19 +114,25 @@ def dualize(c):
 
 
 def _ends(c, n, src, tgt, kind):
-    """An entry's smaller- and larger-stabilizer cells as (degree, index),
-    then their stabilizers."""
-    small, big = ((n, src), (n - 1, tgt)) if kind == "up" else ((n - 1, tgt), (n, src))
-    return small, big, c.cells[small[0]][small[1]].stab, c.cells[big[0]][big[1]].stab
+    """An entry's smaller- and larger-stabilizer ends' stabilizers."""
+    stabs = c.cells[n][src].stab, c.cells[n - 1][tgt].stab
+    return stabs if kind == "up" else stabs[::-1]
 
 
 def smash(c1, c2):
     """Tensor of cell complexes, expanding orbit products into orbits.
 
     A product cell is tagged by the twist coset separating its two factors.
-    The Leibniz rule sends each factor entry, from every product cell over
-    its smaller-stabilizer end, to the product cell over its other end that
-    holds the image point; pairs of identical routed entries cancel mod 2.
+    The orbits of one pair of factor cells sit consecutively, in coset
+    order, so a product cell is found at its twist's coset position in its
+    pair's list of indices.  The Leibniz rule sends each factor entry, from
+    every product cell over its smaller-stabilizer end, to the product cell
+    over its other end that holds the image point; pairs of identical routed
+    entries cancel mod 2.  Where those orbits land depends only on the
+    entry's kind, stabilizers and translation and on the other factor
+    cell's stabilizer.  Each such route, the orbit positions at both ends
+    and the translation, is located once per call in a table local to it,
+    so routing one entry costs two list lookups.
     """
     if c1.group != c2.group:
         raise ValueError("group mismatch in smash")
@@ -130,18 +140,19 @@ def smash(c1, c2):
     sub = gd.subgroups
 
     cells = {}
-    index = {}  # (deg1, i1, deg2, i2, twist) -> (degree, new index)
-    for n1 in c1.degrees():
-        for i1, cell1 in enumerate(c1.cells[n1]):
-            for n2 in c2.degrees():
-                for i2, cell2 in enumerate(c2.cells[n2]):
-                    join = gd.join(cell1.stab, cell2.stab)
-                    meet = gd.meet(cell1.stab, cell2.stab)
-                    deg = n1 + n2
-                    for tw in gd.cosets(join):
-                        lst = cells.setdefault(deg, [])
-                        index[(n1, i1, n2, i2, tw)] = (deg, len(lst))
-                        lst.append(Cell(deg, meet))
+    index = {}  # n1 -> n2 -> [i1][i2]: indices in cells[n1 + n2] of the pair's orbits
+    degs1, degs2 = c1.degrees(), c2.degrees()
+    for n1 in degs1:
+        for cell1 in c1.cells[n1]:
+            for n2 in degs2:
+                deg = n1 + n2
+                lst = cells.setdefault(deg, [])
+                row = []
+                for cell2 in c2.cells[n2]:
+                    k = len(gd.cosets(gd.join(cell1.stab, cell2.stab)))
+                    row.append(list(range(len(lst), len(lst) + k)))
+                    lst.extend([Cell(deg, gd.meet(cell1.stab, cell2.stab))] * k)
+                index.setdefault(n1, {}).setdefault(n2, []).append(row)
 
     def locate(stab1, stab2, p1, p2):
         """Orbit twist of the point (p1*stab1, p2*stab2) and the translation
@@ -153,35 +164,63 @@ def smash(c1, c2):
                 return tw, v
         raise AssertionError("orbit location failed")
 
-    entries = {}
+    routes = {}
 
-    def toggle(kind, small, big, v):
-        """Flip the entry between the product cells keyed small and big, filed
-        under its source's (the higher) degree; its translation is taken
-        modulo the larger stabilizer."""
-        (ds, s), (db, b) = index[small], index[big]
-        v = gd.coset_rep(v, cells[db][b].stab)
-        bucket = entries.setdefault(max(ds, db), set())
-        bucket ^= {(s, b, kind, v) if kind == "up" else (b, s, kind, v)}
+    def route_table(left, c, n, src, tgt, kind, u, others):
+        """{other factor cell's stabilizer: route} for an entry of the first
+        factor (left) or the second.  A route lists, per orbit over the
+        entry's smaller end, its (source, target, translation): the orbit
+        positions within their pairs, and the translation modulo the larger
+        product stabilizer."""
+        stab_s, stab_b = _ends(c, n, src, tgt, kind)
+        key = (left, kind, stab_s, stab_b, u)
+        table = routes.get(key)
+        if table is None:
+            table = routes[key] = {}
+            for other in others:
+                pos = gd.coset_index(gd.join(stab_b, other))
+                meet = gd.meet(stab_b, other)
+                found = table[other] = []
+                for small, s in enumerate(gd.cosets(gd.join(stab_s, other))):
+                    if left:  # (e * stab_s, s * other) maps to (u * stab_b, s * other)
+                        tw, v = locate(stab_b, other, u, s)
+                    else:  # (e * other, s * stab_s) maps to (e * other, s * u * stab_b)
+                        tw, v = locate(other, stab_b, 0, s ^ u)
+                    v = gd.coset_rep(v, meet)
+                    found.append((small, pos[tw], v) if kind == "up" else (pos[tw], small, v))
+        return table
 
+    def toggle(bucket, routed):
+        """Flip each routed entry in the bucket."""
+        for entry in routed:
+            if entry in bucket:
+                bucket.remove(entry)
+            else:
+                bucket.add(entry)
+
+    # an entry is filed under its source's degree, the higher one
+    entries = {n: set() for n in cells}
+    stabs1, stabs2 = ({cell.stab for cs in c.cells.values() for cell in cs} for c in (c1, c2))
     for n1, es in c1.entries.items():
-        for src1, tgt1, kind, u in es:
-            small, big, stab_s, stab_b = _ends(c1, n1, src1, tgt1, kind)
-            for n2 in c2.degrees():
-                for i2, cell2 in enumerate(c2.cells[n2]):
-                    for s in gd.cosets(gd.join(stab_s, cell2.stab)):
-                        # (e * stab_s, s * stab2) maps to (u * stab_b, s * stab2)
-                        tw, v = locate(stab_b, cell2.stab, u, s)
-                        toggle(kind, (*small, n2, i2, s), (*big, n2, i2, tw), v)
+        tables = [(src1, tgt1, kind, route_table(True, c1, n1, src1, tgt1, kind, u, stabs2))
+                  for src1, tgt1, kind, u in es]
+        for n2 in degs2:
+            src_rows, tgt_rows = index[n1][n2], index[n1 - 1][n2]
+            toggle(entries[n1 + n2], [
+                (src_ids[src], tgt_ids[tgt], kind, v)
+                for src1, tgt1, kind, table in tables
+                for cell2, src_ids, tgt_ids in zip(c2.cells[n2], src_rows[src1], tgt_rows[tgt1])
+                for src, tgt, v in table[cell2.stab]])
     for n2, es in c2.entries.items():
-        for src2, tgt2, kind, u in es:
-            small, big, stab_s, stab_b = _ends(c2, n2, src2, tgt2, kind)
-            for n1 in c1.degrees():
-                for i1, cell1 in enumerate(c1.cells[n1]):
-                    for s in gd.cosets(gd.join(cell1.stab, stab_s)):
-                        # (e * stab1, s * stab_s) maps to (e * stab1, s * u * stab_b)
-                        tw, v = locate(cell1.stab, stab_b, 0, s ^ u)
-                        toggle(kind, (n1, i1, *small, s), (n1, i1, *big, tw), v)
+        tables = [(src2, tgt2, kind, route_table(False, c2, n2, src2, tgt2, kind, u, stabs1))
+                  for src2, tgt2, kind, u in es]
+        for n1 in degs1:
+            src_rows, tgt_rows = index[n1][n2], index[n1][n2 - 1]
+            toggle(entries[n1 + n2], [
+                (src_row[src2][src], tgt_row[tgt2][tgt], kind, v)
+                for src2, tgt2, kind, table in tables
+                for cell1, src_row, tgt_row in zip(c1.cells[n1], src_rows, tgt_rows)
+                for src, tgt, v in table[cell1.stab]])
 
     return MackeyComplex(c1.group, cells, entries)
 

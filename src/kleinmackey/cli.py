@@ -19,9 +19,14 @@ from .reps import parse_rep
 
 
 # The largest sphere the oracle engine takes, counted in cells of its complex.
-# At this size a --coeff F query takes about a minute: 35(alpha+beta+gamma),
-# 89531 cells, took 47-59 s on a 2-core x86-64 host with Python 3.11.
+# At this size a --coeff F query takes about half a minute:
+# 35(alpha+beta+gamma), 89531 cells, took 25 s and 341 MiB on a 2-core x86-64
+# host with Python 3.11.
 MAX_ORACLE_CELLS = 90000
+
+# The largest n `tower` takes.  Above n = 10 the tower is the bare slice
+# list, whose cost grows about as n^2: n = 1000 took 4 s on the same host.
+MAX_TOWER_N = 1000
 
 
 def oracle_cell_count(v):
@@ -115,6 +120,8 @@ def cmd_slice(args, out):
 
 
 def cmd_tower(args, out):
+    if args.n > MAX_TOWER_N:
+        raise ValueError(f"tower --n {args.n} is past the bound of {MAX_TOWER_N}")
     nodes = slc.tower_K(args.n)
     if args.format == "json":
         doc = []
@@ -230,7 +237,7 @@ def build_parser():
         description="Graded homotopy Mackey functors of a twisted sphere. The "
                     "oracle engine refuses a sphere whose cell complex has more "
                     f"than {MAX_ORACLE_CELLS} cells, (1+|b|)(1+|c|)(1+|d|) + "
-                    "|bcd| for K and 1+|b| for C2, about a minute of work.")
+                    "|bcd| for K and 1+|b| for C2, about half a minute of work.")
     sp.add_argument("--rep", required=True)
     sp.add_argument("--coeff", default="F")
     sp.add_argument("--engine", default="oracle", choices=["oracle", "closed"])
@@ -246,7 +253,11 @@ def build_parser():
     sp.add_argument("--format", default="text", choices=["text", "json"])
     sp.set_defaults(func=cmd_slice)
 
-    sp = sub.add_parser("tower", help="slice tower node list")
+    sp = sub.add_parser(
+        "tower", help="slice tower node list",
+        description="Slice tower node list of the n-th suspension of HF over "
+                    "K: the printed tower for n <= 10, the bare slice list "
+                    f"above. --n is at most {MAX_TOWER_N}, a few seconds of work.")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--format", default="text", choices=["text", "json", "svg"])
     sp.set_defaults(func=cmd_tower)

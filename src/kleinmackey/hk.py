@@ -36,17 +36,6 @@ def _one_pos_two_neg(l, j, k):
         (geom(0, l) * geom(0, l - 1)).shift(-(l + 1))
 
 
-def two_pos_one_neg_printed(l, m, k):
-    """The directly stated product formula for l alpha + m beta - k gamma,
-    k >= 2, kept for cross-checking.
-
-    It fails on corner parameters: at l = m = 1, k = 3 it disagrees with the
-    duality route of _klein_top_series and with the chain-level computation.
-    """
-    return geom(-k, -1) * geom(0, k - 2) + \
-        (geom(0, l - k) * geom(0, m - k)).shift(k)
-
-
 def _klein_top_series(b, c, d):
     """Series for the (b*alpha + c*beta + d*gamma)-suspension at the top level."""
     if sum(x < 0 for x in (b, c, d)) % 2:

@@ -5,8 +5,8 @@ import os
 import re
 import time
 
-from kleinmackey import bredon
-from kleinmackey.cli import MAX_ORACLE_CELLS, main, oracle_cell_count
+from kleinmackey import bredon, slices
+from kleinmackey.cli import MAX_ORACLE_CELLS, MAX_TOWER_N, main, oracle_cell_count
 from kleinmackey.reps import RepC2, RepK
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -173,6 +173,21 @@ def test_homotopy_size_guard(capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(MAX_ORACLE_CELLS) in err
+
+
+def test_tower_size_guard(capsys, monkeypatch):
+    def never(n):
+        raise AssertionError(f"tower_K({n}) started past the bound")
+
+    monkeypatch.setattr(slices, "tower_K", never)
+    for argv in (["tower", "--n", str(MAX_TOWER_N + 1)],
+                 ["tower", "--n", str(MAX_TOWER_N + 1), "--format", "json"]):
+        start = time.perf_counter()
+        assert run(argv) == (2, ""), argv
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(MAX_TOWER_N) in err
 
 
 def test_oracle_cell_count_matches_the_complex():

@@ -4,8 +4,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from kleinmackey import bredon
-from kleinmackey.hk import (_one_pos_two_neg, poincare, poincare_C2,
-                            poincare_K, two_pos_one_neg_printed)
+from kleinmackey.hk import _one_pos_two_neg, poincare, poincare_C2, poincare_K
 from kleinmackey.laurent import LaurentPoly, geom
 from kleinmackey.reps import RepC2, RepK
 
@@ -93,6 +92,18 @@ def test_one_pos_two_neg_overlap_orientations_agree():
                 second = (geom(0, k - 2) * geom(0, l - j)).shift(-k) + \
                     (geom(0, l - 1) * geom(0, j - 1)).shift(-j)
                 assert first == second == _one_pos_two_neg(l, j, k)
+
+
+def two_pos_one_neg_printed(l, m, k):
+    """The directly stated product formula for l alpha + m beta - k gamma,
+    k >= 2, as printed.
+
+    It fails on corner parameters: at l = m = 1, k = 3 it disagrees with the
+    duality route of hk._klein_top_series and with the chain-level
+    computation.
+    """
+    return geom(-k, -1) * geom(0, k - 2) + \
+        (geom(0, l - k) * geom(0, m - k)).shift(k)
 
 
 def test_printed_two_pos_formula_fails_on_corners():

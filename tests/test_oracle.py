@@ -174,6 +174,22 @@ def test_smash_matches_reference():
         cx = br.trivial_suspension(0)
         for char, n in (("alpha", b), ("beta", c), ("gamma", d)):
             cx = _assert_same_smash(cx, br.character_sphere(char, n), (b, c, d, char))
+    # the largest series-wide spheres, |b| = |c| = |d| = 6 (559 cells), by
+    # their last factor smash
+    for b, c, d in itertools.product((-6, 6), repeat=3):
+        cx = _assert_same_smash(br.sphere_complex(RepK(0, b, c, 0)),
+                                br.character_sphere("gamma", d), (b, c, d))
+        assert cx.cell_count() == 559
+    # only a translation's coset modulo the larger stabilizer matters: an
+    # alpha sphere whose translations are moved within their cosets by
+    # 1 in ker(alpha) smashes to the same complex, reduced
+    for n, m in itertools.product((3, -3), (2, -2)):
+        tight, other = br.character_sphere("alpha", n), br.character_sphere("beta", m)
+        loose = br.MackeyComplex("K", tight.cells, {
+            deg: {(src, tgt, kind, u ^ 1) for src, tgt, kind, u in es}
+            for deg, es in tight.entries.items()})
+        for pair, want in (((loose, other), (tight, other)), ((other, loose), (other, tight))):
+            assert _assert_same_smash(*pair, (n, m, "loose")).entries == br.smash(*want).entries
     # nested smashes put many cells and both entry kinds in either factor
     for (ca, cb), i, j in itertools.product((("alpha", "beta"), ("gamma", "gamma")),
                                             range(-4, 5), range(-4, 5)):
