@@ -18,7 +18,8 @@ complex for each (res/tr, levels, stabilizers, translation).  Every map is
 assembled from stamps as its columns, the transpose of its matrix, which is
 the form f2's column reduction reads.  Homology of those levelwise
 complexes, with the induced restriction and transfer maps obtained by lifting
-cycles, is the graded homotopy Mackey functor.
+cycles, is the graded homotopy Mackey functor, computed one degree at a time
+so that only two degrees' differentials and homology bases are held at once.
 
 The minimal cell structure for a character power (one fixed cell plus one
 orbit cell per dimension, boundary alternating fold and 1+translation) keeps
@@ -28,12 +29,11 @@ everything small enough that sweeping thousands of representations is cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .f2 import BitMatrix, homology_reps
 from .groups import char_twist, group_by_name
 from .laurent import LaurentPoly
-from .mackey import Mackey, expr_to_mackey, parse_name_expr
+from .mackey import Mackey, catalog
 
 
 @dataclass(frozen=True)
@@ -239,15 +239,6 @@ def sphere_complex(v):
 # coefficients and homology
 
 
-class _Shape(NamedTuple):
-    """The blocks of one cell at one level; they depend only on its stabilizer."""
-
-    reps: tuple     # coset reps of the orbit at this level, in block order
-    pos: tuple      # element g -> position of its coset in reps
-    bdim: int       # coefficient dimension of one block
-    meet: str       # stab & level
-
-
 class LevelComplexes:
     """A cell complex evaluated with a coefficient functor at every level.
 
@@ -261,19 +252,21 @@ class LevelComplexes:
             raise ValueError("coefficient functor is over the wrong group")
         self.cx = cx
         self.coeff = coeff
-        self._shapes = {}   # (level, stab) -> _Shape
+        self._shapes = {}   # (level, stab) -> see _shape
         self._layouts = {}  # level -> {degree: (offset of each cell, dim)}
         self._entries = {}  # degree -> differential entries grouped by stamp
         self._columns = {}  # (transfer, upper meet, lower meet) -> block columns
         self._stamps = {}   # see _stamp
 
     def _shape(self, lv, stab):
+        """A cell's blocks at one level: (coset reps in block order, element
+        -> position of its coset, dimension of one block, stab & level)."""
         shape = self._shapes.get((lv, stab))
         if shape is None:
             gd = self.cx.gd
             join = gd.join(lv, stab)
             meet = gd.meet(lv, stab)
-            shape = self._shapes[(lv, stab)] = _Shape(
+            shape = self._shapes[(lv, stab)] = (
                 gd.cosets(join), gd.coset_index(join), self.coeff.dim(meet), meet)
         return shape
 
@@ -290,8 +283,8 @@ class LevelComplexes:
                     offs.append(off)
                     w = width.get(cell.stab)
                     if w is None:
-                        shape = self._shape(lv, cell.stab)
-                        w = width[cell.stab] = len(shape.reps) * shape.bdim
+                        reps, _, bdim, _ = self._shape(lv, cell.stab)
+                        w = width[cell.stab] = len(reps) * bdim
                     off += w
                 layout[deg] = (offs, off)
         return layout.get(n, ((), 0))
@@ -311,15 +304,13 @@ class LevelComplexes:
         stamp = self._stamps.get(key)
         if stamp is not None:
             return stamp
-        small = self._shape(src_lv, src_stab)
-        big = self._shape(tgt_lv, tgt_stab)
-        if not transfer:
-            small, big = big, small
+        ends = self._shape(src_lv, src_stab), self._shape(tgt_lv, tgt_stab)
+        (s_reps, _, s_dim, s_meet), (_, b_index, b_dim, b_meet) = ends if transfer else ends[::-1]
         bits_of = {}
-        if small.bdim and big.bdim:
-            cols = self._block_columns(transfer, big.meet, small.meet)
-            for k, rep in enumerate(small.reps):
-                s_pos, b_pos = k * small.bdim, big.pos[rep ^ trans] * big.bdim
+        if s_dim and b_dim:
+            cols = self._block_columns(transfer, b_meet, s_meet)
+            for k, rep in enumerate(s_reps):
+                s_pos, b_pos = k * s_dim, b_index[rep ^ trans] * b_dim
                 col_off, row_off = (s_pos, b_pos) if transfer else (b_pos, s_pos)
                 for c, col in cols:
                     bits_of[col_off + c] = bits_of.get(col_off + c, 0) ^ col << row_off
@@ -340,15 +331,17 @@ class LevelComplexes:
         return cols
 
     def _grouped_entries(self, n):
-        """The entries of d: C_n -> C_{n-1} as [(stamp key, [(src, tgt)])],
-        the key (transfer, source stabilizer, target stabilizer, trans)."""
+        """The entries of d: C_n -> C_{n-1} as [(stamp key, [entry])], the
+        key (transfer, source stabilizer, target stabilizer, trans).  The
+        lists hold the complex's own (src, tgt, kind, trans) tuples."""
         groups = self._entries.get(n)
         if groups is None:
             srcs, tgts = self.cx.cells.get(n, ()), self.cx.cells.get(n - 1, ())
             by_key = {}
-            for src, tgt, kind, trans in self.cx.entries.get(n, ()):
+            for entry in self.cx.entries.get(n, ()):
+                src, tgt, kind, trans = entry
                 key = (kind == "up", srcs[src].stab, tgts[tgt].stab, trans)
-                by_key.setdefault(key, []).append((src, tgt))
+                by_key.setdefault(key, []).append(entry)
             groups = self._entries[n] = list(by_key.items())
         return groups
 
@@ -357,11 +350,11 @@ class LevelComplexes:
         src_offs, src_dim = self._layout(lv, n)
         tgt_offs, tgt_dim = self._layout(lv, n - 1)
         data = [0] * src_dim
-        for (transfer, src_stab, tgt_stab, trans), pairs in self._grouped_entries(n):
+        for (transfer, src_stab, tgt_stab, trans), entries in self._grouped_entries(n):
             stamp = self._stamp(transfer, lv, src_stab, lv, tgt_stab, trans)
             if not stamp:
                 continue
-            for src, tgt in pairs:
+            for src, tgt, _, _ in entries:
                 col_off, row_off = src_offs[src], tgt_offs[tgt]
                 for c, bits in stamp:
                     data[col_off + c] ^= bits << row_off
@@ -388,24 +381,24 @@ class LevelComplexes:
 def with_coefficients(cx, coeff):
     """Evaluate the complex with a coefficient functor (name expression or Mackey)."""
     if isinstance(coeff, str):
-        coeff = expr_to_mackey(parse_name_expr(coeff, cx.group), cx.group)
+        coeff = catalog(coeff, cx.group)
     return LevelComplexes(cx, coeff)
 
 
 def homology(lvl: LevelComplexes):
     """Graded homotopy Mackey functors of the evaluated complex.
 
-    Returns {degree: Mackey}; restriction and transfer matrices on homology
-    come from the chain-level maps applied to cycle representatives and
-    projected back to homology coordinates.  A chain map is built only where
-    the source has homology and the target too; elsewhere the induced matrix
-    is empty.
+    Returns {degree: Mackey}, computed one degree at a time; only the
+    assembled functors are kept.  Restriction and transfer matrices on
+    homology come from the chain-level maps applied to cycle representatives
+    and projected back to homology coordinates.  A chain map is built only
+    where the source has homology and the target too; elsewhere the induced
+    matrix is empty.
     """
     gd = lvl.cx.gd
-    hom = {lv: _level_homology(lvl, lv) for lv in gd.levels}
     out = {}
-    for n in hom[gd.levels[0]]:
-        dims = tuple(len(hom[lv][n][0]) for lv in gd.levels)
+    for n, hom in _degree_homology(lvl, gd.levels):
+        dims = tuple(len(hom[lv][0]) for lv in gd.levels)
         if not any(dims):
             continue
         res = tuple(_induced(lvl.chain_res, u, lo_lv, n, hom) for u, lo_lv in gd.edges)
@@ -414,25 +407,24 @@ def homology(lvl: LevelComplexes):
     return out
 
 
-def _level_homology(lvl, lv):
-    """{degree: (cycle reps, projection)} of the complex at one level, for
-    every degree from its lowest cell to its highest."""
+def _degree_homology(lvl, levels):
+    """Yield (degree, {level: (cycle reps, projection)}) from the complex's
+    lowest degree up to its highest, building each level's differential
+    once, as one degree's d_in and the next one's d_out."""
     degs = lvl.cx.degrees()
     if not degs:
-        return {}
-    out = {}
-    d_out = lvl.differential(lv, degs[0])
+        return
+    d_out = {lv: lvl.differential(lv, degs[0]) for lv in levels}
     for n in range(degs[0], degs[-1] + 1):
-        d_in = lvl.differential(lv, n + 1)
-        out[n] = homology_reps(d_out, d_in)
+        d_in = {lv: lvl.differential(lv, n + 1) for lv in levels}
+        yield n, {lv: homology_reps(d_out[lv], d_in[lv]) for lv in levels}
         d_out = d_in
-    return out
 
 
 def _induced(chain_map, src, tgt, n, hom):
     """The map chain_map(src, tgt, n) induces on homology, as a matrix."""
-    src_reps = hom[src][n][0]
-    tgt_reps, project = hom[tgt][n]
+    src_reps = hom[src][0]
+    tgt_reps, project = hom[tgt]
     if not (src_reps and tgt_reps):
         return BitMatrix.zeros(len(tgt_reps), len(src_reps))
     cmap = chain_map(src, tgt, n)
@@ -458,4 +450,4 @@ def homotopy_level_series(v, coeff="F", level=None):
     lvl = with_coefficients(sphere_complex(v), coeff)
     level = level or lvl.cx.gd.levels[0]
     return LaurentPoly.from_dict(
-        {n: len(reps) for n, (reps, _) in _level_homology(lvl, level).items()})
+        {n: len(hom[level][0]) for n, hom in _degree_homology(lvl, (level,))})

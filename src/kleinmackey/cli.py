@@ -20,13 +20,17 @@ from .reps import parse_rep
 
 # The largest sphere the oracle engine takes, counted in cells of its complex.
 # At this size a --coeff F query takes about half a minute:
-# 35(alpha+beta+gamma), 89531 cells, took 25 s and 341 MiB on a 2-core x86-64
-# host with Python 3.11.
+# 35(alpha+beta+gamma), 89531 cells, took 21-32 s over nine runs and 144 MiB
+# on a 2-core x86-64 host with Python 3.11.
 MAX_ORACLE_CELLS = 90000
 
 # The largest n `tower` takes.  Above n = 10 the tower is the bare slice
 # list, whose cost grows about as n^2: n = 1000 took 4 s on the same host.
 MAX_TOWER_N = 1000
+
+# The largest n `chart` takes, with or without --solve: n = 1000 took 6 s and
+# 113 MiB as text, and n = 2000 took 27 s and 397 MiB, on the same host.
+MAX_CHART_N = 1000
 
 
 def oracle_cell_count(v):
@@ -171,6 +175,8 @@ def _tower_svg(n, nodes):
 
 
 def cmd_chart(args, out):
+    if args.n > MAX_CHART_N:
+        raise ValueError(f"chart --n {args.n} is past the bound of {MAX_CHART_N}")
     chart = sschart.build_E1(args.n, args.group)
     diffs = ()
     solved_note = None
@@ -262,7 +268,9 @@ def build_parser():
     sp.add_argument("--format", default="text", choices=["text", "json", "svg"])
     sp.set_defaults(func=cmd_tower)
 
-    sp = sub.add_parser("chart", help="slice spectral sequence chart")
+    sp = sub.add_parser("chart", help="slice spectral sequence chart",
+                        description="Slice spectral sequence chart of the n-th "
+                                    f"suspension of HF. --n is at most {MAX_CHART_N}.")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--group", default="K", choices=["K", "C2"])
     sp.add_argument("--format", default="text", choices=["text", "json", "svg"])

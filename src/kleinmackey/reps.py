@@ -35,9 +35,6 @@ class _Rep:
     def __neg__(self):
         return type(self)(*(-x for x in self.coeffs()))
 
-    def __rmul__(self, n):
-        return type(self)(*(n * x for x in self.coeffs()))
-
 
 @dataclass(frozen=True)
 class RepK(_Rep):

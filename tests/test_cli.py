@@ -5,8 +5,9 @@ import os
 import re
 import time
 
-from kleinmackey import bredon, slices
-from kleinmackey.cli import MAX_ORACLE_CELLS, MAX_TOWER_N, main, oracle_cell_count
+from kleinmackey import bredon, slices, sschart
+from kleinmackey.cli import (MAX_CHART_N, MAX_ORACLE_CELLS, MAX_TOWER_N, main,
+                            oracle_cell_count)
 from kleinmackey.reps import RepC2, RepK
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -188,6 +189,23 @@ def test_tower_size_guard(capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(MAX_TOWER_N) in err
+
+
+def test_chart_size_guard(capsys, monkeypatch):
+    def never(n, group="K"):
+        raise AssertionError(f"build_E1({n}, {group}) started past the bound")
+
+    monkeypatch.setattr(sschart, "build_E1", never)
+    n = str(MAX_CHART_N + 1)
+    for argv in (["chart", "--n", n], ["chart", "--n", n, "--solve"],
+                 ["chart", "--n", n, "--group", "C2", "--format", "svg"],
+                 ["chart", "--n", n, "--group", "C2", "--solve"]):
+        start = time.perf_counter()
+        assert run(argv) == (2, ""), argv
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(MAX_CHART_N) in err
 
 
 def test_oracle_cell_count_matches_the_complex():

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import weakref
 from pathlib import Path
 
 from kleinmackey import bredon as br
@@ -313,14 +314,14 @@ def test_homotopy_examples():
     assert names(br.homotopy(RHO_K, "F")) == \
         {1: "g", 2: "phiLDR(F)", 3: "mg", 4: "F"}
     assert names(br.homotopy(-RHO_K, "F")) == {-4: "F*"}
-    assert names(br.homotopy(2 * RHO_K, "f"))[4] == "g^2"
+    assert names(br.homotopy(RepK(2, 2, 2, 2), "f"))[4] == "g^2"
     t = br.homotopy(RepC2(3, 3), "F")  # three rho over C2
     assert names(t) == {3: "g", 4: "g", 5: "g", 6: "F"}
 
 
 def test_regular_multiple_matches_closed_form():
     for k in (1, 2):
-        v = RepK(k, 0, 0, 0) - k * RHO_K
+        v = RepK(0, -k, -k, -k)
         got = br.homotopy_level_series(v, "F", "K")
         from kleinmackey.hk import poincare_K
         assert got == poincare_K(v)["K"]
@@ -346,7 +347,7 @@ def test_oracle_outputs_are_mackey_functors():
     from kleinmackey.mackey import check_axioms
     for v, coeff in ((RHO_K, "F"), (-RHO_K, "F"), (RepK(0, 2, 1, -2), "F"),
                      (RepK(1, 1, 1, 1), "mg"), (RepK(0, -1, 2, 0), "F*"),
-                     (2 * RHO_K, "f"), (RepK(1, 1, 1, 1), "W*")):
+                     (RepK(2, 2, 2, 2), "f"), (RepK(1, 1, 1, 1), "W*")):
         for n, m in br.homotopy(v, coeff).items():
             assert check_axioms(m) == [], (v, coeff, n)
 
@@ -495,3 +496,43 @@ def test_skipped_chain_maps_change_nothing():
                 assert br.homotopy_level_series(v, coeff, level) == \
                     LaurentPoly.from_dict({n: m.dims[j] for n, m in full.items()}), \
                     (v, coeff, level)
+
+
+def _most_bases_alive(monkeypatch, query):
+    """The most homology_reps projections alive at once while query() runs."""
+    original = br.homology_reps
+    alive = []
+    most = 0
+
+    def tracked(d_out, d_in):
+        nonlocal most
+        reps, project = original(d_out, d_in)
+        alive.append(weakref.ref(project))
+        alive[:] = [ref for ref in alive if ref() is not None]
+        most = max(most, len(alive))
+        return reps, project
+
+    monkeypatch.setattr(br, "homology_reps", tracked)
+    query()
+    monkeypatch.undo()
+    return most
+
+
+def test_homology_holds_two_degrees_at_a_time(monkeypatch):
+    # one degree's bases at every level, and the next one's while it is built
+    for v in (RepK(0, 3, 3, 3), RepK(1, -2, 3, -1), RepC2(0, 5)):
+        levels = len(br.sphere_complex(v).gd.levels)
+        assert _most_bases_alive(monkeypatch, lambda: br.homotopy(v, "F")) == 2 * levels, v
+        assert _most_bases_alive(
+            monkeypatch, lambda: br.homotopy_level_series(v, "F")) == 2, v
+
+
+def test_grouped_entries_hold_the_complex_entries():
+    for v in (RepK(0, 2, -1, 1), RepC2(0, -3)):
+        cx = br.sphere_complex(v)
+        lvl = br.with_coefficients(cx, "F")
+        for n, entries in cx.entries.items():
+            own = {id(entry) for entry in entries}
+            grouped = [entry for _, group in lvl._grouped_entries(n) for entry in group]
+            assert len(grouped) == len(entries), (v, n)
+            assert all(id(entry) in own for entry in grouped), (v, n)
