@@ -9,7 +9,10 @@ everything except the constant functor at (n, n) dies.
 The solver enumerates exact cancellation patterns.  Rank tuples of a
 candidate differential are constrained to those realized by actual maps
 between the named source and target functors, which
-mackey.rank_tuples_of_hom computes exactly from the hom space.
+mackey.rank_tuples_of_hom computes exactly from the hom space.  The search
+walks the pairs in a fixed order; at each pair it looks up its moves in a
+table keyed by the two cells' budgets, and it chooses differentials by
+their number in sorted order.  Both live for one call only.
 """
 
 from __future__ import annotations
@@ -197,6 +200,14 @@ def solve_differentials(chart, cap=20000):
     most its total use, which is at most its dimension.  Raises
     PatternCapExceeded, carrying the first cap patterns found, when there
     are more than cap; cap=None lists them all.
+
+    Budgets are tuples.  Each pair fills, on first visit with a given
+    (source budget, target budget), a table of its admissible moves: the
+    candidate's number (None for the zero map) and the two budgets after
+    it, in the pair's sorted tuple order.  The numbers follow the sorted
+    order of the chart's candidate differentials, so sorting int tuples
+    sorts the patterns; they become Differentials once, on the way out.
+    The tables and the numbering are dropped when the call returns.
     """
     if cap is not None and cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
@@ -210,7 +221,7 @@ def solve_differentials(chart, cap=20000):
         want = survivors.get(pos, (0,) * nlev)
         if any(w > d for w, d in zip(want, dims[pos])):
             return []
-        budget[pos] = [d - w for d, w in zip(dims[pos], want)]
+        budget[pos] = tuple(d - w for d, w in zip(dims[pos], want))
 
     pairs = []
     for src in entries:
@@ -230,7 +241,7 @@ def solve_differentials(chart, cap=20000):
     steps = []
     for src, tgt in reversed(pairs):
         tuples = sorted(achievable_tuples(emap[src], emap[tgt], chart.group))
-        steps.append((src, tgt, tgt[1] - src[1], tuples, room[src], room[tgt]))
+        steps.append((src, tgt, tuples, room[src], room[tgt]))
         top = [max(col) for col in zip(*tuples)]
         for pos in (src, tgt):
             room[pos] = tuple(a + b for a, b in zip(room[pos], top))
@@ -240,35 +251,47 @@ def solve_differentials(chart, cap=20000):
     if any(b > r for pos in entries for b, r in zip(budget[pos], room[pos])):
         return []
 
+    # every nonzero differential the pairs allow, numbered in sorted order,
+    # so the search chooses and sorts ints; the zero map gets None
+    cands = sorted(Differential(tgt[1] - src[1], src, tgt, ranks)
+                   for src, tgt, tuples, _, _ in steps for ranks in tuples
+                   if any(ranks))
+    number = {(d.src, d.tgt, d.ranks): k for k, d in enumerate(cands)}
+    steps = [(src, tgt, [(number.get((src, tgt, ranks)), ranks) for ranks in tuples],
+              room_s, room_t, {})
+             for src, tgt, tuples, room_s, room_t in steps]
+
     patterns = []
     chosen = []
 
     def dfs(idx):
         if idx == len(steps):
             if len(patterns) == cap:
-                raise PatternCapExceeded(sorted(patterns))
+                raise PatternCapExceeded([tuple(cands[k] for k in p)
+                                          for p in sorted(patterns)])
             patterns.append(tuple(sorted(chosen)))
             return
-        src, tgt, r, tuples, room_s, room_t = steps[idx]
+        src, tgt, options, room_s, room_t, table = steps[idx]
         bs, bt = budget[src], budget[tgt]
-        # ranks fit both budgets and leave each no more than its room
-        hi = [min(a, b) for a, b in zip(bs, bt)]
-        lo = [max(a - c, b - d) for a, c, b, d in zip(bs, room_s, bt, room_t)]
-        for ranks in tuples:
-            if not all(low <= x <= high for low, x, high in zip(lo, ranks, hi)):
-                continue
-            for j, x in enumerate(ranks):
-                bs[j] -= x
-                bt[j] -= x
-            if any(ranks):
-                chosen.append(Differential(r, src, tgt, ranks))
+        moves = table.get((bs, bt))
+        if moves is None:
+            # ranks fit both budgets and leave each no more than its room
+            hi = [min(a, b) for a, b in zip(bs, bt)]
+            lo = [max(a - c, b - d) for a, c, b, d in zip(bs, room_s, bt, room_t)]
+            moves = table[bs, bt] = [
+                (k, tuple(a - x for a, x in zip(bs, ranks)),
+                 tuple(b - x for b, x in zip(bt, ranks)))
+                for k, ranks in options
+                if all(low <= x <= high for low, x, high in zip(lo, ranks, hi))]
+        for k, new_s, new_t in moves:
+            budget[src], budget[tgt] = new_s, new_t
+            if k is None:
+                dfs(idx + 1)
+            else:
+                chosen.append(k)
                 dfs(idx + 1)
                 chosen.pop()
-            else:
-                dfs(idx + 1)
-            for j, x in enumerate(ranks):
-                bs[j] += x
-                bt[j] += x
+        budget[src], budget[tgt] = bs, bt
 
     try:
         dfs(0)
@@ -276,7 +299,11 @@ def solve_differentials(chart, cap=20000):
         raise ValueError(f"chart n={chart.n} has {len(steps)} differential pairs; "
                          "the solver recurses once per pair, past Python's "
                          "recursion limit") from None
-    return sorted(patterns)
+    finally:
+        # dfs refers to itself through its closure; deleting it frees the
+        # tables now rather than at the next full cyclic collection
+        del dfs
+    return [tuple(cands[k] for k in p) for p in sorted(patterns)]
 
 
 def first_solution(chart, cap):

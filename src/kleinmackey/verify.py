@@ -228,24 +228,26 @@ def suite_euler():
 
 
 # how many differential patterns the solver finds: one below n = 9
-_PATTERN_COUNTS = {9: 2, 10: 6}
+_PATTERN_COUNTS = {9: 2, 10: 6, 11: 80, 12: 386}
 
 
 def suite_convergence():
-    """For n <= 10 the published differentials converge, and the solver finds
-    them among the expected number of patterns."""
+    """For n <= 12 the solver finds the expected number of patterns; for
+    n <= 10 the published differentials converge and are among them."""
     rep = Report("convergence")
-    for n in range(0, 11):
+    for n in range(0, 13):
         rep.checked += 1
         chart = sschart.build_E1(n)
-        canned = sschart.canned_differentials(n)
-        result = sschart.check_convergence(chart, canned)
-        if not result["pass"]:
-            rep.fail(f"n={n}: {result['failures'] or result['survivors']}")
         patterns = sschart.solve_differentials(chart)
         want = _PATTERN_COUNTS.get(n, 1)
         if len(patterns) != want:
             rep.fail(f"n={n}: expected {want} pattern(s), found {len(patterns)}")
+        if n > 10:
+            continue
+        canned = sschart.canned_differentials(n)
+        result = sschart.check_convergence(chart, canned)
+        if not result["pass"]:
+            rep.fail(f"n={n}: {result['failures'] or result['survivors']}")
         if tuple(sorted(canned)) not in patterns:
             rep.fail(f"n={n}: the published pattern is not among the solver's")
     return rep

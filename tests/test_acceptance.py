@@ -140,12 +140,12 @@ def test_criterion_08_spectral_sequences():
     # the canned patterns are empty below n = 5
     rep = verify.suite_convergence()
     assert rep.passed, rep.failures
-    assert rep.checked == 11
+    assert rep.checked == 13
     rep = verify.suite_euler()
     assert rep.passed, rep.failures
     assert rep.checked == 21
     report("8 spectral sequence convergence",
-           "canned n=5..10 at 5 levels; unique patterns n=5,7,8; euler n<=20")
+           "canned n=5..10 at 5 levels; pattern counts n<=12; euler n<=20")
 
 
 def test_criterion_09_axioms_and_involutions():

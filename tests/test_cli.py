@@ -127,7 +127,10 @@ def test_usage_errors(tmp_path, capsys):
     assert run(["chart", "--n", "9", "--solve", "--cap", "-1"]) == (2, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    # the solver recurses once per pair, and n = 34 has 1080 pairs
+    # the solver recurses once per pair: n = 32 (895 pairs) still answers,
+    # and n = 34 (1080 pairs) is refused
+    code, text = run(["chart", "--n", "32", "--solve", "--cap", "1"])
+    assert code == 0 and "solver: more than 1 patterns (truncated)" in text
     assert run(["chart", "--n", "34", "--solve", "--cap", "1"]) == (2, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -106,6 +107,34 @@ def test_solver_cap_counts_exactly():
     assert str(exc.value) == "more than 385 differential patterns"
     with pytest.raises(ValueError):
         ss.solve_differentials(ss.build_E1(9), cap=-1)
+
+
+def test_solver_cap_zero():
+    # n = 0 has no pairs and one empty pattern, so cap 0 truncates it too
+    for n in (0, 4, 9):
+        with pytest.raises(ss.PatternCapExceeded) as exc:
+            ss.solve_differentials(ss.build_E1(n), cap=0)
+        assert exc.value.patterns == []
+    assert ss.first_solution(ss.build_E1(9), 0) == ((), "more than 0 patterns (truncated)")
+    assert ss.first_solution(ss.build_E1(0), 1)[1] == "1 consistent pattern(s)"
+
+
+def test_solver_frees_its_tables_on_return():
+    # the search's tables must go when the call returns or raises, not wait
+    # for the cyclic collector
+    chart = ss.build_E1(12)
+    ss.solve_differentials(chart)
+    gc.collect()
+    gc.disable()
+    try:
+        for cap in (None, 0, 5):
+            try:
+                ss.solve_differentials(chart, cap=cap)
+            except ss.PatternCapExceeded:
+                pass
+            assert gc.collect() == 0, cap
+    finally:
+        gc.enable()
 
 
 def _reference_solve(chart, cap=20000):
