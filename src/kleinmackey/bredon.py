@@ -198,29 +198,23 @@ def smash(c1, c2):
             else:
                 bucket.add(entry)
 
-    # an entry is filed under its source's degree, the higher one
+    # an entry is filed under its source's degree, the higher one; the second
+    # factor's entries read index through a view with the factors swapped
     entries = {n: set() for n in cells}
-    stabs1, stabs2 = ({cell.stab for cs in c.cells.values() for cell in cs} for c in (c1, c2))
-    for n1, es in c1.entries.items():
-        tables = [(src1, tgt1, kind, route_table(True, c1, n1, src1, tgt1, kind, u, stabs2))
-                  for src1, tgt1, kind, u in es]
-        for n2 in degs2:
-            src_rows, tgt_rows = index[n1][n2], index[n1 - 1][n2]
-            toggle(entries[n1 + n2], [
-                (src_ids[src], tgt_ids[tgt], kind, v)
-                for src1, tgt1, kind, table in tables
-                for cell2, src_ids, tgt_ids in zip(c2.cells[n2], src_rows[src1], tgt_rows[tgt1])
-                for src, tgt, v in table[cell2.stab]])
-    for n2, es in c2.entries.items():
-        tables = [(src2, tgt2, kind, route_table(False, c2, n2, src2, tgt2, kind, u, stabs1))
-                  for src2, tgt2, kind, u in es]
-        for n1 in degs1:
-            src_rows, tgt_rows = index[n1][n2], index[n1][n2 - 1]
-            toggle(entries[n1 + n2], [
-                (src_row[src2][src], tgt_row[tgt2][tgt], kind, v)
-                for src2, tgt2, kind, table in tables
-                for cell1, src_row, tgt_row in zip(c1.cells[n1], src_rows, tgt_rows)
-                for src, tgt, v in table[cell1.stab]])
+    swapped = {n2: {n1: list(zip(*index[n1][n2])) for n1 in degs1} for n2 in degs2}
+    for left, c, other, view in ((True, c1, c2, index), (False, c2, c1, swapped)):
+        stabs = {cell.stab for cs in other.cells.values() for cell in cs}
+        for n, es in c.entries.items():
+            tables = [(src, tgt, kind, route_table(left, c, n, src, tgt, kind, u, stabs))
+                      for src, tgt, kind, u in es]
+            for m in other.degrees():
+                src_rows, tgt_rows = view[n][m], view[n - 1][m]
+                toggle(entries[n + m], [
+                    (src_ids[s], tgt_ids[t], kind, v)
+                    for src, tgt, kind, table in tables
+                    for cell, src_ids, tgt_ids in zip(other.cells[m], src_rows[src],
+                                                      tgt_rows[tgt])
+                    for s, t, v in table[cell.stab]])
 
     return MackeyComplex(c1.group, cells, entries)
 

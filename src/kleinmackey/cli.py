@@ -194,10 +194,18 @@ def cmd_chart(args, out):
     return 0
 
 
+def _read_json(path):
+    """A --file document; ValueError when it nests past what the parser takes."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError(f"{path} nests too deeply to read as JSON") from None
+
+
 def cmd_mackey(args, out):
     if args.file:
-        with open(args.file) as fh:
-            m = mackey_from_json(json.load(fh))
+        m = mackey_from_json(_read_json(args.file))
     else:
         m = catalog(args.name, args.group)
     if args.json:
@@ -216,8 +224,7 @@ def cmd_verify(args, out):
     if args.file is not None:
         if args.suite != "axioms":
             raise ValueError(f"suite {args.suite} takes no --file")
-        with open(args.file) as fh:
-            kwargs["mackey_json"] = json.load(fh)
+        kwargs["mackey_json"] = _read_json(args.file)
     report = verify.run_suite(args.suite, **kwargs)
     _emit(out, report.summary())
     return 0 if report.passed else 1
@@ -270,7 +277,9 @@ def build_parser():
 
     sp = sub.add_parser("chart", help="slice spectral sequence chart",
                         description="Slice spectral sequence chart of the n-th "
-                                    f"suspension of HF. --n is at most {MAX_CHART_N}.")
+                                    f"suspension of HF. --n is at most {MAX_CHART_N}, and "
+                                    f"--solve takes at most {sschart.MAX_SOLVE_PAIRS} "
+                                    "chart pairs (K: n <= 32).")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--group", default="K", choices=["K", "C2"])
     sp.add_argument("--format", default="text", choices=["text", "json", "svg"])

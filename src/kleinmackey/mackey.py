@@ -504,30 +504,30 @@ def identify(m):
     """
     if m.is_zero():
         return ()
-    target = _flatten(fingerprint(m))
-    atoms = _atom_fingerprints(m.group)
-    dead = _dead_coordinates(m.group)
-
-    def dfs(idx, remaining):
-        # a coordinate no later atom covers can never be cleared
-        if any(remaining[j] for j in dead[idx]):
-            return None
-        if not any(remaining):
-            return {}
-        name, vec = atoms[idx]
-        bound = min((r // v for r, v in zip(remaining, vec) if v), default=0)
-        for count in range(bound, -1, -1):
-            sol = dfs(idx + 1, [r - count * v for r, v in zip(remaining, vec)])
-            if sol is not None:
-                if count:
-                    sol[name] = count
-                return sol
-        return None
-
-    sol = dfs(0, target)
+    sol = _combination(_atom_fingerprints(m.group), _dead_coordinates(m.group),
+                       0, _flatten(fingerprint(m)))
     if sol is None:
         return None
     return tuple(sorted(sol.items()))
+
+
+def _combination(atoms, dead, idx, remaining):
+    """{name: count} of atoms[idx:] summing to remaining, largest count first."""
+    # a coordinate no later atom covers can never be cleared
+    if any(remaining[j] for j in dead[idx]):
+        return None
+    if not any(remaining):
+        return {}
+    name, vec = atoms[idx]
+    bound = min((r // v for r, v in zip(remaining, vec) if v), default=0)
+    for count in range(bound, -1, -1):
+        sol = _combination(atoms, dead, idx + 1,
+                           [r - count * v for r, v in zip(remaining, vec)])
+        if sol is not None:
+            if count:
+                sol[name] = count
+            return sol
+    return None
 
 
 def hom_space(m1, m2):

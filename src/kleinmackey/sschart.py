@@ -191,6 +191,10 @@ class PatternCapExceeded(RuntimeError):
         self.patterns = patterns
 
 
+# The most chart pairs the solver takes: K n = 32 has 895 and n = 33 has 1017.
+MAX_SOLVE_PAIRS = 1000
+
+
 def solve_differentials(chart, cap=20000):
     """All exact cancellation patterns compatible with functor-map ranks.
 
@@ -199,36 +203,34 @@ def solve_differentials(chart, cap=20000):
     make every pattern page-feasible: a cell's use on its first pages is at
     most its total use, which is at most its dimension.  Raises
     PatternCapExceeded, carrying the first cap patterns found, when there
-    are more than cap; cap=None lists them all.
+    are more than cap; cap=None lists them all.  ValueError, naming the
+    count, for a chart of more than MAX_SOLVE_PAIRS pairs.
 
     Budgets are tuples.  Each pair fills, on first visit with a given
     (source budget, target budget), a table of its admissible moves: the
-    candidate's number (None for the zero map) and the two budgets after
-    it, in the pair's sorted tuple order.  The numbers follow the sorted
-    order of the chart's candidate differentials, so sorting int tuples
-    sorts the patterns; they become Differentials once, on the way out.
-    The tables and the numbering are dropped when the call returns.
+    candidates chosen (one number, or none for the zero map) and the two
+    budgets after, in the pair's sorted tuple order.  The numbers follow
+    the sorted order of the chart's candidate differentials, so sorting int
+    tuples sorts the patterns; they become Differentials once, on the way
+    out.  The path is a list, not the call stack.  The tables and the
+    numbering are dropped when the call returns.
     """
     if cap is not None and cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
-    gd = chart.gd
-    nlev = len(gd.levels)
+    nlev = len(chart.gd.levels)
     dims = chart.dims()
     entries = sorted(dims)
-    survivors = expected_survivors(chart)
-    budget = {}
-    for pos in entries:
-        want = survivors.get(pos, (0,) * nlev)
-        if any(w > d for w, d in zip(want, dims[pos])):
-            return []
-        budget[pos] = tuple(d - w for d, w in zip(dims[pos], want))
+    want = expected_survivors(chart)
+    budget = {pos: tuple(d - w for d, w in zip(dims[pos], want.get(pos, (0,) * nlev)))
+              for pos in entries}
+    if any(b < 0 for left in budget.values() for b in left):
+        return []
 
-    pairs = []
-    for src in entries:
-        t, i = src
-        for tgt in entries:
-            if tgt[0] == t - 1 and tgt[1] > i:
-                pairs.append((src, tgt))
+    pairs = [(src, tgt) for src in entries for tgt in entries
+             if tgt[0] == src[0] - 1 and tgt[1] > src[1]]
+    if len(pairs) > MAX_SOLVE_PAIRS:
+        raise ValueError(f"chart n={chart.n} has {len(pairs)} differential pairs; "
+                         f"the solver takes at most {MAX_SOLVE_PAIRS}")
     pairs.sort(key=lambda p: (-p[0][0], p[0][1], p[1][1]))
     emap = chart.entry_map()
 
@@ -252,57 +254,48 @@ def solve_differentials(chart, cap=20000):
         return []
 
     # every nonzero differential the pairs allow, numbered in sorted order,
-    # so the search chooses and sorts ints; the zero map gets None
+    # so the search chooses and sorts ints; a move carries its number as a
+    # 1-tuple, the zero map's as ()
     cands = sorted(Differential(tgt[1] - src[1], src, tgt, ranks)
                    for src, tgt, tuples, _, _ in steps for ranks in tuples
                    if any(ranks))
-    number = {(d.src, d.tgt, d.ranks): k for k, d in enumerate(cands)}
-    steps = [(src, tgt, [(number.get((src, tgt, ranks)), ranks) for ranks in tuples],
+    number = {(d.src, d.tgt, d.ranks): (k,) for k, d in enumerate(cands)}
+    steps = [(src, tgt, [(number.get((src, tgt, ranks), ()), ranks) for ranks in tuples],
               room_s, room_t, {})
              for src, tgt, tuples, room_s, room_t in steps]
 
-    patterns = []
-    chosen = []
-
-    def dfs(idx):
-        if idx == len(steps):
-            if len(patterns) == cap:
-                raise PatternCapExceeded([tuple(cands[k] for k in p)
-                                          for p in sorted(patterns)])
+    # path: one entry per step entered, with its untried moves, its two
+    # cells, their budgets before it, and how many candidates precede it
+    patterns, chosen, path = [], [], []
+    while True:
+        if len(path) < len(steps):
+            src, tgt, options, room_s, room_t, table = steps[len(path)]
+            bs, bt = budget[src], budget[tgt]
+            moves = table.get((bs, bt))
+            if moves is None:
+                # ranks fit both budgets and leave each no more than its room
+                hi = [min(a, b) for a, b in zip(bs, bt)]
+                lo = [max(a - c, b - d) for a, c, b, d in zip(bs, room_s, bt, room_t)]
+                moves = table[bs, bt] = [
+                    (picks, tuple(a - x for a, x in zip(bs, ranks)),
+                     tuple(b - x for b, x in zip(bt, ranks)))
+                    for picks, ranks in options
+                    if all(low <= x <= high for low, x, high in zip(lo, ranks, hi))]
+            path.append((iter(moves), src, tgt, bs, bt, len(chosen)))
+        elif len(patterns) == cap:
+            raise PatternCapExceeded([tuple(cands[k] for k in p)
+                                      for p in sorted(patterns)])
+        else:
             patterns.append(tuple(sorted(chosen)))
-            return
-        src, tgt, options, room_s, room_t, table = steps[idx]
-        bs, bt = budget[src], budget[tgt]
-        moves = table.get((bs, bt))
-        if moves is None:
-            # ranks fit both budgets and leave each no more than its room
-            hi = [min(a, b) for a, b in zip(bs, bt)]
-            lo = [max(a - c, b - d) for a, c, b, d in zip(bs, room_s, bt, room_t)]
-            moves = table[bs, bt] = [
-                (k, tuple(a - x for a, x in zip(bs, ranks)),
-                 tuple(b - x for b, x in zip(bt, ranks)))
-                for k, ranks in options
-                if all(low <= x <= high for low, x, high in zip(lo, ranks, hi))]
-        for k, new_s, new_t in moves:
-            budget[src], budget[tgt] = new_s, new_t
-            if k is None:
-                dfs(idx + 1)
-            else:
-                chosen.append(k)
-                dfs(idx + 1)
-                chosen.pop()
-        budget[src], budget[tgt] = bs, bt
-
-    try:
-        dfs(0)
-    except RecursionError:
-        raise ValueError(f"chart n={chart.n} has {len(steps)} differential pairs; "
-                         "the solver recurses once per pair, past Python's "
-                         "recursion limit") from None
-    finally:
-        # dfs refers to itself through its closure; deleting it frees the
-        # tables now rather than at the next full cyclic collection
-        del dfs
+        # back up to the deepest step with an untried move, and take it
+        while path and (move := next(path[-1][0], None)) is None:
+            _, src, tgt, bs, bt, _ = path.pop()
+            budget[src], budget[tgt] = bs, bt
+        if not path:
+            break
+        _, src, tgt, _, _, mark = path[-1]
+        picks, budget[src], budget[tgt] = move
+        chosen[mark:] = picks
     return [tuple(cands[k] for k in p) for p in sorted(patterns)]
 
 

@@ -127,8 +127,8 @@ def test_usage_errors(tmp_path, capsys):
     assert run(["chart", "--n", "9", "--solve", "--cap", "-1"]) == (2, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    # the solver recurses once per pair: n = 32 (895 pairs) still answers,
-    # and n = 34 (1080 pairs) is refused
+    # the solver takes at most 1000 pairs: n = 32 (895 pairs) answers, and
+    # n = 34 (1080 pairs) is refused before any hom space is computed
     code, text = run(["chart", "--n", "32", "--solve", "--cap", "1"])
     assert code == 0 and "solver: more than 1 patterns (truncated)" in text
     assert run(["chart", "--n", "34", "--solve", "--cap", "1"]) == (2, "")
@@ -160,6 +160,14 @@ def test_usage_errors(tmp_path, capsys):
             assert run(argv) == (2, ""), (doc, argv)
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+    # a file nested past the JSON parser's depth is bad input, not a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    for argv in (["mackey", "--file", str(deep)],
+                 ["verify", "--suite", "axioms", "--file", str(deep)]):
+        assert run(argv) == (2, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
     # a negative box is bad input, not an empty sweep that passes, and so is
     # a flag the suite does not read
     for argv in (["duality", "--box", "-1"], ["hk-oracle", "--box", "-1"],

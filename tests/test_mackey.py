@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from kleinmackey import bredon, sschart
 from kleinmackey import mackey as mk
-from kleinmackey.mackey import (CATALOG_ATOMS, DUAL_NAMES, build_mackey, catalog,
+from kleinmackey.mackey import (CATALOG_ATOMS, DUAL_NAMES, Mackey, build_mackey, catalog,
                                 check_axioms, direct_sum, dual, expr_to_mackey,
                                 fingerprint, format_name_expr, hom_space,
                                 identify, inflate, is_isomorphic,
@@ -179,6 +180,25 @@ def test_identify_round_trip_all_atoms():
         assert identify(catalog(name)) == ((name, 1),), name
 
 
+def test_identify_frees_its_search_on_return():
+    # named, unnamed and zero: no call leaves a cycle for the collector
+    named = catalog("phiLDR(F*) + g^2")
+    unnamed = build_mackey("K", (2, 1, 0, 0, 0), res={("K", "L"): [[1, 0]]},
+                           tr={("K", "L"): [[0], [1]]})
+    functors = (named, unnamed, zero_mackey(), catalog("F* + f", "C2"))
+    for m in functors:
+        identify(m)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            for m in functors:
+                identify(m)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_hom_space_and_iso():
     # endomorphisms of the inflation triple are the three independent scalars
     trip = catalog("phiLDR(F)")
@@ -195,6 +215,53 @@ def test_json_round_trip():
     for name in ("F", "mg", "W*", "phiL(f)"):
         m = catalog(name)
         assert mackey_from_json(json.loads(json.dumps(m.to_json_dict()))) == m
+
+
+# JSON values whose keys and strings are often the ones a functor document uses
+_json_words = st.sampled_from(["group", "dims", "res", "tr", "K", "L", "C2", "e",
+                               "K>L", "L>K", "C2>e", "e>C2"]) | st.text(max_size=2)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(allow_nan=False)
+    | _json_words,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_json_words, kids, max_size=4),
+    max_leaves=12)
+
+
+def _read_or_refuse(doc):
+    """mackey_from_json(doc) returns a functor or raises ValueError, nothing else."""
+    try:
+        assert isinstance(mackey_from_json(doc), Mackey)
+    except ValueError:
+        pass
+
+
+@given(json_values)
+@settings(max_examples=300, deadline=None)
+def test_mackey_from_json_takes_any_json_value(doc):
+    _read_or_refuse(doc)
+
+
+@given(st.sampled_from([("F", "K"), ("mg", "K"), ("W*", "K"), ("phiL(f)", "K"),
+                        ("0", "K"), ("F* + f", "C2")]),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_mackey_from_json_takes_mutated_documents(functor, data):
+    doc = catalog(*functor).to_json_dict()
+    # walk down to a random entry, then replace or delete it
+    node = doc
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+        elif data.draw(st.booleans()):
+            node[key] = data.draw(json_values)
+            break
+        else:
+            del node[key]
+            break
+    _read_or_refuse(doc)
 
 
 def test_pretty_has_diagram():

@@ -137,6 +137,28 @@ def test_solver_frees_its_tables_on_return():
         gc.enable()
 
 
+def _nested(depth, fn):
+    """fn() called from depth extra stack frames."""
+    return fn() if depth == 0 else _nested(depth - 1, fn)
+
+
+def test_solver_refusal_depends_only_on_the_chart(monkeypatch):
+    # n = 32 (895 pairs) answers under a deep caller; n = 33 (1017 pairs) is
+    # refused, naming its count, from any depth and before any hom space
+    chart = ss.build_E1(32)
+    assert _nested(200, lambda: ss.first_solution(chart, 1))[1] == \
+        "more than 1 patterns (truncated)"
+
+    def never(*args):
+        raise AssertionError("a hom space was computed past the pair bound")
+
+    monkeypatch.setattr(ss, "achievable_tuples", never)
+    chart = ss.build_E1(33)
+    for depth in (0, 200):
+        with pytest.raises(ValueError, match=" 1017 "):
+            _nested(depth, lambda: ss.solve_differentials(chart, cap=1))
+
+
 def _reference_solve(chart, cap=20000):
     """The solver as it was before pruning by remaining capacity.
 

@@ -241,3 +241,28 @@ def test_code_reads_the_group_instead_of_switching_on_the_type():
     switches = {module: _rep_type_switches(module)
                 for module in _package_modules() + ["__init__"] if module != "reps"}
     assert {m: lines for m, lines in switches.items() if lines} == {}
+
+
+def _self_referring_closures(module):
+    """Nested functions of a module that read their own name.  Such a
+    function reaches itself through its closure, so each call of the
+    function around it leaves a cycle for the cyclic collector."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    for outer in functions:
+        for inner in ast.walk(outer):
+            if inner is not outer and isinstance(inner, ast.FunctionDef) \
+                    and any(isinstance(node, ast.Name) and node.id == inner.name
+                            and isinstance(node.ctx, ast.Load)
+                            for node in ast.walk(inner)):
+                found.add(f"{module}.{outer.name}.{inner.name}")
+    return found
+
+
+def test_no_function_reaches_itself_through_a_closure():
+    # a recursive search is a module-level function or a loop, so its
+    # frames and tables go when the call returns
+    found = set().union(*(_self_referring_closures(module)
+                          for module in _package_modules() + ["__init__"]))
+    assert sorted(found) == []
