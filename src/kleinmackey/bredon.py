@@ -20,6 +20,9 @@ the form f2's column reduction reads.  Homology of those levelwise
 complexes, with the induced restriction and transfer maps obtained by lifting
 cycles, is the graded homotopy Mackey functor, computed one degree at a time
 so that only two degrees' differentials and homology bases are held at once.
+The degrees are walked from the top down, so that f2.homology_reps can clear
+d_n with the pivots of the already reduced d_{n+1}: it skips columns that
+reduce to zero and hold no new cycle, so no output changes (see f2).
 
 The minimal cell structure for a character power (one fixed cell plus one
 orbit cell per dimension, boundary alternating fold and 1+translation) keeps
@@ -198,23 +201,29 @@ def smash(c1, c2):
             else:
                 bucket.add(entry)
 
-    # an entry is filed under its source's degree, the higher one; the second
-    # factor's entries read index through a view with the factors swapped
+    # an entry is filed under its source's degree, the higher one
     entries = {n: set() for n in cells}
-    swapped = {n2: {n1: list(zip(*index[n1][n2])) for n1 in degs1} for n2 in degs2}
-    for left, c, other, view in ((True, c1, c2, index), (False, c2, c1, swapped)):
-        stabs = {cell.stab for cs in other.cells.values() for cell in cs}
-        for n, es in c.entries.items():
-            tables = [(src, tgt, kind, route_table(left, c, n, src, tgt, kind, u, stabs))
-                      for src, tgt, kind, u in es]
-            for m in other.degrees():
-                src_rows, tgt_rows = view[n][m], view[n - 1][m]
-                toggle(entries[n + m], [
-                    (src_ids[s], tgt_ids[t], kind, v)
-                    for src, tgt, kind, table in tables
-                    for cell, src_ids, tgt_ids in zip(other.cells[m], src_rows[src],
-                                                      tgt_rows[tgt])
-                    for s, t, v in table[cell.stab]])
+    stabs1, stabs2 = ({cell.stab for cs in c.cells.values() for cell in cs} for c in (c1, c2))
+    for n1, es in c1.entries.items():
+        tables = [(src1, tgt1, kind, route_table(True, c1, n1, src1, tgt1, kind, u, stabs2))
+                  for src1, tgt1, kind, u in es]
+        for n2 in degs2:
+            src_rows, tgt_rows = index[n1][n2], index[n1 - 1][n2]
+            toggle(entries[n1 + n2], [
+                (src_ids[src], tgt_ids[tgt], kind, v)
+                for src1, tgt1, kind, table in tables
+                for cell2, src_ids, tgt_ids in zip(c2.cells[n2], src_rows[src1], tgt_rows[tgt1])
+                for src, tgt, v in table[cell2.stab]])
+    for n2, es in c2.entries.items():
+        tables = [(src2, tgt2, kind, route_table(False, c2, n2, src2, tgt2, kind, u, stabs1))
+                  for src2, tgt2, kind, u in es]
+        for n1 in degs1:
+            src_rows, tgt_rows = index[n1][n2], index[n1][n2 - 1]
+            toggle(entries[n1 + n2], [
+                (src_row[src2][src], tgt_row[tgt2][tgt], kind, v)
+                for src2, tgt2, kind, table in tables
+                for cell1, src_row, tgt_row in zip(c1.cells[n1], src_rows, tgt_rows)
+                for src, tgt, v in table[cell1.stab]])
 
     return MackeyComplex(c1.group, cells, entries)
 
@@ -382,12 +391,12 @@ def with_coefficients(cx, coeff):
 def homology(lvl: LevelComplexes):
     """Graded homotopy Mackey functors of the evaluated complex.
 
-    Returns {degree: Mackey}, computed one degree at a time; only the
-    assembled functors are kept.  Restriction and transfer matrices on
-    homology come from the chain-level maps applied to cycle representatives
-    and projected back to homology coordinates.  A chain map is built only
-    where the source has homology and the target too; elsewhere the induced
-    matrix is empty.
+    Returns {degree: Mackey} in ascending degree order, computed one degree
+    at a time from the top down; only the assembled functors are kept.
+    Restriction and transfer matrices on homology come from the chain-level
+    maps applied to cycle representatives and projected back to homology
+    coordinates.  A chain map is built only where the source has homology
+    and the target too; elsewhere the induced matrix is empty.
     """
     gd = lvl.cx.gd
     out = {}
@@ -398,21 +407,22 @@ def homology(lvl: LevelComplexes):
         res = tuple(_induced(lvl.chain_res, u, lo_lv, n, hom) for u, lo_lv in gd.edges)
         tr = tuple(_induced(lvl.chain_tr, lo_lv, u, n, hom) for u, lo_lv in gd.edges)
         out[n] = Mackey(lvl.cx.group, dims, res, tr)
-    return out
+    return dict(sorted(out.items()))
 
 
 def _degree_homology(lvl, levels):
     """Yield (degree, {level: (cycle reps, projection)}) from the complex's
-    lowest degree up to its highest, building each level's differential
-    once, as one degree's d_in and the next one's d_out."""
+    highest degree down to its lowest, building each level's differential
+    once, as one degree's d_out and the next one's d_in.  Going down, each
+    d_in is reduced before the d_out that homology_reps clears with it."""
     degs = lvl.cx.degrees()
     if not degs:
         return
-    d_out = {lv: lvl.differential(lv, degs[0]) for lv in levels}
-    for n in range(degs[0], degs[-1] + 1):
-        d_in = {lv: lvl.differential(lv, n + 1) for lv in levels}
+    d_in = {lv: lvl.differential(lv, degs[-1] + 1) for lv in levels}
+    for n in range(degs[-1], degs[0] - 1, -1):
+        d_out = {lv: lvl.differential(lv, n) for lv in levels}
         yield n, {lv: homology_reps(d_out[lv], d_in[lv]) for lv in levels}
-        d_out = d_in
+        d_in = d_out
 
 
 def _induced(chain_map, src, tgt, n, hom):

@@ -10,6 +10,16 @@ rows are its transpose's columns, so homology_reps takes each differential
 by its columns, stored as the rows of its transpose, and reduces them with
 no transpose.  Boundary matrices have two to four nonzeros per column, so
 reducing them is close to linear in their size.
+
+homology_reps clears (Chen-Kerber 2011, Bauer-Kerber-Reininghaus 2014): it
+reduces d_out skipping every column that is a pivot (leading bit) of the
+reduced d_in.  The reduced column of d_in with pivot p is a boundary e_p +
+(lower bits), so column p of d_out is a sum of earlier columns and reduces
+to zero.  Its kernel vector differs from that boundary by a cycle on
+earlier cells, which the kernel vectors of earlier columns span, so the
+greedy pass over the kernel would never pick it: skipping it leaves the
+representatives and the projection unchanged.  A walk over the degrees
+from the top down has each d_in reduced before the d_out it clears.
 """
 
 from __future__ import annotations
@@ -115,11 +125,19 @@ class BitMatrix:
         return BitMatrix(rows, cols, tuple(data))
 
     @cached_property
-    def _row_reduction(self):
-        # Kept on the matrix, so it lives and dies with it: homology_reps
-        # reads a differential's image at one degree and its kernel at the
-        # next, and takes each differential as its columns, the rows here.
-        return column_reduction(self.data)
+    def _image(self):
+        # The span of the rows, kept on the matrix so that it lives and dies
+        # with it: homology_reps reads a differential's kernel at one degree
+        # and its image at the next, and takes each differential as its
+        # columns, the rows here.
+        return column_reduction(self.data)[0]
+
+    def _cleared_kernel(self, cleared):
+        """Kernel of the rows' reduction, skipping the rows in cleared.  The
+        span is the same either way, so it is kept as _image."""
+        span, kernel = column_reduction(self.data, cleared)
+        self.__dict__.setdefault("_image", span)
+        return kernel
 
     def rank(self):
         # Row rank equals column rank, and the rows need no transpose.  Not
@@ -132,7 +150,7 @@ class BitMatrix:
         return column_reduction(self.transpose().data)[1]
 
 
-def column_reduction(columns):
+def column_reduction(columns, cleared=()):
     """One left-to-right reduction of column vectors: (span, kernel).
 
     Each column is XORed with the stored reduced column of its leading bit
@@ -143,11 +161,15 @@ def column_reduction(columns):
     columns that sum to it, in column order.  That is the reduced-echelon
     kernel basis, because the pivot columns of the reduced echelon form are
     the leftmost independent columns (Edelsbrunner-Letscher-Zomorodian 2002,
-    Zomorodian-Carlsson 2005).
+    Zomorodian-Carlsson 2005).  Columns whose index is in cleared are
+    skipped; the caller vouches that each reduces to zero, so the span is
+    the same and the kernel loses only their vectors.
     """
     span = EchelonSpan()
     kernel = []
     for j, col in enumerate(columns):
+        if j in cleared:
+            continue
         residue, coords = span.reduce(col)
         if residue:
             span.insert(residue, coords | 1 << j)
@@ -197,6 +219,10 @@ class EchelonSpan:
         """Store v, nonzero and already reduced, with its coordinate mask."""
         self._rows[v.bit_length() - 1] = (v, coords)
 
+    def pivots(self):
+        """The leading bits of the stored vectors."""
+        return self._rows.keys()
+
     def untagged(self):
         """A new span of the same vectors, with no tagged coordinates."""
         out = EchelonSpan()
@@ -211,13 +237,16 @@ def homology_reps(d_out, d_in):
     matrix: row j of d_out is the image of basis vector j of C, and row j
     of d_in that of basis vector j of C_in.  Returns (reps, project) where
     reps is a list of cycle vectors giving a basis of ker(d_out)/im(d_in)
-    and project(cycle) -> coordinate bitmask.  Both matrices keep their
-    reductions, so a differential passed as d_in here and as d_out at the
-    next degree is reduced once.
+    and project(cycle) -> coordinate bitmask.  d_out is reduced clearing the
+    pivots of d_in's image, and keeps that image, so a differential passed
+    as d_out here and as d_in at the next degree down is reduced once.  The
+    cleared kernel is valid next to this d_in only, so it is not kept.
     """
-    span = d_in._row_reduction[0].untagged()
+    span = d_in._image
+    kernel = d_out._cleared_kernel(span.pivots())
+    span = span.untagged()
     reps = []
-    for v in d_out._row_reduction[1]:
+    for v in kernel:
         if span.add(v, tagged=True):
             reps.append(v)
 

@@ -6,9 +6,11 @@ the double coset rule collapses to concrete matrix identities that
 check_axioms verifies.  One catalog holds the named functors of both
 groups, one table per group keyed by its name, and catalog(name, group)
 reads it; identify() writes an arbitrary functor as a sum of catalog names
-by matching additive rank invariants.  hom_space gives a basis of the maps
-between two functors, rank_tuples_of_hom the exact set of their levelwise
-ranks, and is_isomorphic an exact isomorphism test.
+by an exact solve in additive rank invariants, whose values on the atoms
+are independent, so that the sum, when there is one, is unique.  hom_space
+gives a basis of the maps between two functors, rank_tuples_of_hom the
+exact set of their levelwise ranks, and is_isomorphic an exact isomorphism
+test.
 """
 
 from __future__ import annotations
@@ -477,16 +479,33 @@ def _atom_fingerprints(group):
 
 
 @lru_cache(maxsize=None)
-def _dead_coordinates(group):
-    """For each atom index i (and one past the last), the fingerprint
-    coordinates that are zero in every atom from i on."""
-    atoms = _atom_fingerprints(group)
-    live = [False] * len(atoms[0][1])
-    dead = [tuple(range(len(live)))]
-    for _, vec in reversed(atoms):
-        live = [seen or v > 0 for seen, v in zip(live, vec)]
-        dead.append(tuple(j for j, seen in enumerate(live) if not seen))
-    return tuple(reversed(dead))
+def _solver(group):
+    """The integer inverse of the atoms' fingerprint matrix on coordinates
+    where it is invertible, as rows (coordinate j, ((atom i, coefficient),
+    ...)): atom i's count in a fingerprint f sums coefficient * f[j].
+
+    Gauss-Jordan elimination over the coordinates in order keeps one whose
+    reduced equation sum_i count_i * atom_i[j] = f[j] has a coefficient of
+    +-1, and pivots only on those, so every number stays an integer.  That
+    reaches full rank: 21 of 41 coordinates for K, 4 of 10 for C2.
+    """
+    vecs = [vec for _, vec in _atom_fingerprints(group)]
+    n, width = len(vecs), len(vecs[0])
+    kept = []  # (atom index, equation: atom coefficients, then coordinate ones)
+    for j in range(width):
+        eq = [v[j] for v in vecs] + [int(k == j) for k in range(width)]
+        for i, piv in kept:
+            if eq[i]:
+                eq = [a - eq[i] * b for a, b in zip(eq, piv)]
+        lead = next((i for i in range(n) if eq[i] in (1, -1)), None)
+        if lead is None:
+            continue
+        eq = [eq[lead] * a for a in eq]
+        kept = [(i, [a - piv[lead] * b for a, b in zip(piv, eq)] if piv[lead] else piv)
+                for i, piv in kept]
+        kept.append((lead, eq))
+    return tuple((j, tuple((i, eq[n + j]) for i, eq in kept if eq[n + j]))
+                 for j in range(width) if any(eq[n + j] for _, eq in kept))
 
 
 def identify(m):
@@ -494,40 +513,35 @@ def identify(m):
 
     Fingerprints are additive, so this solves an exact nonnegative integer
     combination.  The atoms' fingerprints are linearly independent (rank 21
-    for K, 4 for C2), so a sum of catalog atoms gets exactly its own name.
-    They are not a complete isomorphism invariant in general, so a functor
-    that is no such sum may still match one; what backs the names is
-    test_identify_names_an_isomorphic_functor, which checks with
+    for K, 4 for C2), so a combination, when one exists, is unique: _solver's
+    inverse gives the counts, kept when none is negative and the atoms with
+    those counts sum to m's whole fingerprint.  A sum of catalog atoms thus
+    gets exactly its own name.
+    Fingerprints are not a complete isomorphism invariant in general, so a
+    functor that is no such sum may still match one; what backs the names
+    is test_identify_names_an_isomorphic_functor, which checks with
     is_isomorphic that every identified oracle output over a box of
     representations is isomorphic to the sum named.  Returns the
     name-expression tuple, or None when no catalog combination matches.
     """
     if m.is_zero():
         return ()
-    sol = _combination(_atom_fingerprints(m.group), _dead_coordinates(m.group),
-                       0, _flatten(fingerprint(m)))
-    if sol is None:
+    atoms = _atom_fingerprints(m.group)
+    remaining = _flatten(fingerprint(m))
+    counts = [0] * len(atoms)
+    for j, row in _solver(m.group):
+        f = remaining[j]
+        if f:
+            for i, coeff in row:
+                counts[i] += coeff * f
+    if min(counts) < 0:
         return None
-    return tuple(sorted(sol.items()))
-
-
-def _combination(atoms, dead, idx, remaining):
-    """{name: count} of atoms[idx:] summing to remaining, largest count first."""
-    # a coordinate no later atom covers can never be cleared
-    if any(remaining[j] for j in dead[idx]):
+    for count, (_, vec) in zip(counts, atoms):
+        if count:
+            remaining = [r - count * v for r, v in zip(remaining, vec)]
+    if any(remaining):
         return None
-    if not any(remaining):
-        return {}
-    name, vec = atoms[idx]
-    bound = min((r // v for r, v in zip(remaining, vec) if v), default=0)
-    for count in range(bound, -1, -1):
-        sol = _combination(atoms, dead, idx + 1,
-                           [r - count * v for r, v in zip(remaining, vec)])
-        if sol is not None:
-            if count:
-                sol[name] = count
-            return sol
-    return None
+    return tuple(sorted((name, count) for count, (name, _) in zip(counts, atoms) if count))
 
 
 def hom_space(m1, m2):

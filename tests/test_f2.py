@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import find, given, strategies as st
 
+from kleinmackey import f2
 from kleinmackey.f2 import BitMatrix, EchelonSpan, homology_reps
 
 
@@ -128,6 +129,16 @@ def test_homology_reps_matches_bitwise_reference(pair):
     # both projections are linear, so agreeing on a basis of cycles suffices
     for cycle in d_out.kernel_basis():
         assert project(cycle) == ref_span.reduce(cycle)[1]
+
+
+def test_clearing_other_columns_changes_homology(monkeypatch):
+    # the cleared columns must be the pivots of d_in: shifted by one, they
+    # drop cycles that no boundary accounts for, on some chain pair
+    reduce = f2.column_reduction
+    monkeypatch.setattr(f2, "column_reduction",
+                        lambda columns, cleared=(): reduce(columns, {p + 1 for p in cleared}))
+    find(chain_pairs(), lambda pair: homology_reps(pair[0].transpose(), pair[1].transpose())[0]
+         != _homology_reps_bitwise(*pair)[0])
 
 
 # Dense row elimination, kept as the reference: the column reduction must

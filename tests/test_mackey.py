@@ -168,6 +168,32 @@ def test_atom_fingerprints_are_independent():
         assert _rank_mod_prime(vecs) == count, group
 
 
+def test_solver_inverts_the_atoms_on_its_coordinates():
+    # 21 of the 41 K coordinates and 4 of the 10 C2 ones, with an integer
+    # inverse: the atoms' matrix on them times it is the identity
+    for group, count in (("K", 21), ("C2", 4)):
+        atoms = mk._atom_fingerprints(group)
+        rows = mk._solver(group)
+        assert len(rows) == count and len({j for j, _ in rows}) == count
+        assert all(type(c) is int and 0 < abs(c) <= 2 for _, row in rows for _, c in row)
+        for k, (_, vec) in enumerate(atoms):
+            product = [0] * count
+            for j, row in rows:
+                for i, c in row:
+                    product[i] += vec[j] * c
+            assert product == [int(i == k) for i in range(count)], (group, k)
+
+
+def test_identify_refuses_a_negative_count(monkeypatch):
+    # F's fingerprint minus phiL(F)'s has no negative coordinate, and only
+    # the combination F - phiL(F) of the atoms gives it
+    atoms = dict(mk._atom_fingerprints("K"))
+    difference = tuple(a - b for a, b in zip(atoms["F"], atoms["phiL(F)"]))
+    assert min(difference) == 0
+    monkeypatch.setattr(mk, "fingerprint", lambda m: difference)
+    assert identify(catalog("F")) is None
+
+
 def test_identify_separates_sums_that_shared_a_fingerprint():
     # without the joint res/tr ranks at L, D, R, w* + phiLDR(F) and
     # W* + phiLDR(f) had equal fingerprints
@@ -278,17 +304,23 @@ def test_random_sums_pass_axioms(atoms):
     assert check_axioms(direct_sum([catalog(a) for a in atoms])) == []
 
 
-@given(atom_lists)
+GROUP_ATOMS = {"K": CATALOG_ATOMS, "C2": ("F", "F*", "f", "g")}
+catalog_sums = st.sampled_from(sorted(GROUP_ATOMS)).flatmap(lambda group: st.tuples(
+    st.just(group), st.dictionaries(st.sampled_from(GROUP_ATOMS[group]), st.integers(1, 5),
+                                    min_size=1, max_size=4)))
+
+
+@given(catalog_sums)
 @settings(max_examples=150, deadline=None)
-def test_identify_recovers_random_sums(atoms):
-    m = direct_sum([catalog(a) for a in atoms])
-    expr = identify(m)
-    assert expr is not None
-    assert expr_to_mackey(expr).dims == m.dims
-    counts = {}
-    for a in atoms:
-        counts[a] = counts.get(a, 0) + 1
-    assert expr == tuple(sorted(counts.items()))
+def test_identify_recovers_random_sums(group_counts):
+    group, counts = group_counts
+    m = direct_sum([catalog(a, group) for a, k in counts.items() for _ in range(k)], group)
+    expected = tuple(sorted(counts.items()))
+    assert identify(m) == expected
+    # the unpruned search grows exponentially with the atoms in the sum: at
+    # ten, some sums take it seconds
+    if sum(counts.values()) <= 5:
+        assert _reference_identify(m) == expected
 
 
 @given(atom_lists, atom_lists)
@@ -435,8 +467,9 @@ def test_identify_names_an_isomorphic_functor():
 
 
 def _reference_identify(m):
-    """identify's depth-first search without pruning: it tries every count of
-    every atom, largest first, and skips a remainder with a negative entry."""
+    """A depth-first search over the atoms' fingerprints with no solve and no
+    pruning: it tries every count of every atom, largest first, and skips a
+    remainder with a negative entry."""
     if m.is_zero():
         return ()
     target = mk._flatten(fingerprint(m))
@@ -467,7 +500,8 @@ def _reference_identify(m):
 
 
 def test_identify_matches_unpruned_search():
-    """Pruning dead branches keeps the first solution, named or not."""
+    """The exact solve gives the search's answer, named or not: the atoms'
+    fingerprints are independent, so a nonnegative combination is unique."""
     checked = unnamed = 0
     for group in ("K", "C2"):
         for m in _oracle_functors(group):

@@ -4,7 +4,7 @@ import weakref
 from pathlib import Path
 
 from kleinmackey import bredon as br
-from kleinmackey.f2 import BitMatrix
+from kleinmackey.f2 import BitMatrix, column_reduction
 from kleinmackey.laurent import LaurentPoly
 from kleinmackey.mackey import (Mackey, catalog, direct_sum, dual, fingerprint,
                                 format_name_expr, identify)
@@ -448,16 +448,24 @@ def test_maps_match_entrywise_placement():
     _check_maps_match_reference([RepC2(0, b) for b in range(-4, 5)], ("F", "F*", "f", "g"))
 
 
+def _uncleared_homology_reps(d_out, d_in):
+    """f2.homology_reps reducing every column of d_out, with no clearing."""
+    span = column_reduction(d_in.data)[0].untagged()
+    reps = [v for v in column_reduction(d_out.data)[1] if span.add(v, tagged=True)]
+    return reps, lambda cycle: span.reduce(cycle)[1]
+
+
 def _reference_homology(lvl):
-    """br.homology with every chain map assembled and applied."""
+    """br.homology with every chain map assembled and applied, and the
+    degrees reduced bottom up with no clearing."""
     cx = lvl.cx
     gd = cx.gd
     degs = cx.degrees()
     hom = {}
     for level in gd.levels:
         for n in degs:
-            hom[(level, n)] = br.homology_reps(lvl.differential(level, n),
-                                               lvl.differential(level, n + 1))
+            hom[(level, n)] = _uncleared_homology_reps(lvl.differential(level, n),
+                                                       lvl.differential(level, n + 1))
 
     def induced(cmap, src, tgt, n):
         reps, (tgt_reps, project) = hom[(src, n)][0], hom[(tgt, n)]
