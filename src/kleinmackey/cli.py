@@ -19,9 +19,9 @@ from .reps import parse_rep
 
 
 # The largest sphere the oracle engine takes, counted in cells of its complex.
-# At this size a --coeff F query takes about half a minute:
-# 35(alpha+beta+gamma), 89531 cells, took 21-32 s over nine runs and 144 MiB
-# on a 2-core x86-64 host with Python 3.11.
+# At this size a --coeff F query takes several seconds:
+# 35(alpha+beta+gamma), 89531 cells, took 4.5-7.8 s over eight runs and
+# 141 MiB on a 2-core x86-64 host with Python 3.11.
 MAX_ORACLE_CELLS = 90000
 
 # The largest n `tower` takes.  Above n = 10 the tower is the bare slice
@@ -250,7 +250,7 @@ def build_parser():
         description="Graded homotopy Mackey functors of a twisted sphere. The "
                     "oracle engine refuses a sphere whose cell complex has more "
                     f"than {MAX_ORACLE_CELLS} cells, (1+|b|)(1+|c|)(1+|d|) + "
-                    "|bcd| for K and 1+|b| for C2, about half a minute of work.")
+                    "|bcd| for K and 1+|b| for C2, several seconds of work.")
     sp.add_argument("--rep", required=True)
     sp.add_argument("--coeff", default="F")
     sp.add_argument("--engine", default="oracle", choices=["oracle", "closed"])

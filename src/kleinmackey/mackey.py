@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .f2 import BitMatrix, EchelonSpan
+from .f2 import BitMatrix, EchelonSpan, column_reduction
 from .groups import group_by_name
 
 
@@ -78,9 +78,9 @@ class Mackey:
         }
 
     def pretty(self):
-        """Lewis diagram as aligned text plus the nonzero maps."""
-        levels = self.gd.levels
-        dims = {lv: d for lv, d in zip(levels, self.dims)}
+        """Lewis diagram as aligned text plus the nonzero maps of to_json_dict."""
+        doc = self.to_json_dict()
+        dims = doc["dims"]
         lines = []
         if self.group == "K":
             lines.append(f"{dims['K']:>9}")
@@ -89,18 +89,9 @@ class Mackey:
         else:
             lines.append(f"{dims['C2']:>5}")
             lines.append(f"{dims['e']:>5}")
-        shown = []
-        for u, lo in self.gd.edges:
-            r = self.res_edge(u, lo)
-            if not r.is_zero():
-                shown.append(f"res {u}>{lo} = {r.to_lists()}")
-        for u, lo in self.gd.edges:
-            t = self.tr_edge(u, lo)
-            if not t.is_zero():
-                shown.append(f"tr {lo}>{u} = {t.to_lists()}")
-        if not shown:
-            shown.append("(all maps zero)")
-        return "\n".join(lines + shown)
+        shown = [f"{kind} {key} = {rows}" for kind in ("res", "tr")
+                 for key, rows in doc[kind].items() if any(map(any, rows))]
+        return "\n".join(lines + (shown or ["(all maps zero)"]))
 
 
 def mackey_from_json(d):
@@ -414,59 +405,65 @@ def check_axioms(m):
 # ---------------------------------------------------------------------------
 # fingerprints and identification
 
-def _stack(mats, how):
-    acc = mats[0]
-    for m2 in mats[1:]:
-        acc = acc.vstack(m2) if how == "v" else acc.hstack(m2)
-    return acc
-
-
 def fingerprint(m):
     """Isomorphism-invariant rank data, additive under direct sums.
 
-    Shaped as (dims, res-part, tr-part, mixed composites) so that dualizing
-    a functor swaps the middle two parts.  The levels are read from the
-    lattice: the top, the bottom and the middle levels between them.  The
-    mixed part holds res . tr between distinct edges out of the top; the
-    composites on one edge are zero by check_axioms, so they are left out.
+    Four flat tuples: (dims, restriction part, transfer part, mixed), 5 + 15
+    + 15 + 6 = 41 coordinates for K and 2 + 4 + 4 + 0 = 10 for C2.  The
+    transfers of m are the restrictions of dual(m) transposed, so the
+    transfer part is the restriction part of dual(m), and dualizing swaps
+    the middle two parts.  The mixed part holds res . tr between distinct
+    edges out of the top; the composites on one edge are zero by
+    check_axioms, so they are left out.
+    """
+    top = m.gd.levels[0]
+    res_down = [r for (u, _), r in zip(m.gd.edges, m.res) if u == top]
+    tr_up = [t for (u, _), t in zip(m.gd.edges, m.tr) if u == top]
+    mixed = tuple(_rank((r @ t).data) for i, r in enumerate(res_down)
+                  for j, t in enumerate(tr_up) if i != j)
+    return (m.dims, _res_part(m), _res_part(dual(m)), mixed)
+
+
+def _res_part(m):
+    """Ranks of the restrictions, one at a time and together.
+
+    The levels are read from the lattice: the top, the bottom and the middle
+    levels between them.  In order: each edge; those out of the top stacked,
+    all, then each pair; those into the bottom side by side; the composite
+    from the top to the bottom; and at each middle level h, res top>h and
+    tr bottom>h side by side, whose images together span that much of m(h).
     """
     gd = m.gd
     top, *middle, bottom = gd.levels
-    res_down = [m.res_edge(u, lo) for u, lo in gd.edges if u == top]
-    res_low = [m.res_edge(u, lo) for u, lo in gd.edges if lo == bottom]
-    tr_up = [m.tr_edge(u, lo) for u, lo in gd.edges if u == top]
-    tr_low = [m.tr_edge(u, lo) for u, lo in gd.edges if lo == bottom]
-    res_part = (
-        tuple(x.rank() for x in m.res),
-        _stack(res_down, "v").rank(),
-        tuple(_stack([a, b], "v").rank() for a, b in itertools.combinations(res_down, 2)),
-        _stack(res_low, "h").rank(),
-        m.res_map(top, bottom).rank(),
-        # the images of res top>h and tr bottom>h together span this much of m(h)
-        tuple(_stack([m.res_edge(top, h), m.tr_edge(h, bottom)], "h").rank()
-              for h in middle),
+    down = [r.data for (u, _), r in zip(gd.edges, m.res) if u == top]
+    low = [r for (_, lo), r in zip(gd.edges, m.res) if lo == bottom]
+    return (
+        *(_rank(r.data) for r in m.res),
+        _rank([row for rows in down for row in rows]),
+        *(_rank(a + b) for a, b in itertools.combinations(down, 2)),
+        _rank(_side_by_side(low)),
+        _rank(m.res_map(top, bottom).data),
+        *(_rank(_side_by_side([m.res_edge(top, h), m.tr_edge(h, bottom)]))
+          for h in middle),
     )
-    tr_part = (
-        tuple(x.rank() for x in m.tr),
-        _stack(tr_up, "h").rank(),
-        tuple(_stack([a, b], "h").rank() for a, b in itertools.combinations(tr_up, 2)),
-        _stack(tr_low, "v").rank(),
-        m.tr_map(bottom, top).rank(),
-        tuple(_stack([m.tr_edge(top, h), m.res_edge(h, bottom)], "v").rank()
-              for h in middle),
-    )
-    mixed = tuple((r @ t).rank() for i, r in enumerate(res_down)
-                  for j, t in enumerate(tr_up) if i != j)
-    return (m.dims, res_part, tr_part, mixed)
 
 
-def _flatten(x):
-    if isinstance(x, tuple):
-        out = []
-        for y in x:
-            out.extend(_flatten(y))
-        return out
-    return [x]
+def _rank(rows):
+    return len(column_reduction(rows)[0]) if any(rows) else 0
+
+
+def _side_by_side(mats):
+    """The rows of matrices with equal row counts, placed side by side."""
+    shifts = list(itertools.accumulate((x.cols for x in mats), initial=0))
+    return [sum(row << s for row, s in zip(rows, shifts)) for rows in zip(*(x.data for x in mats))]
+
+
+def restriction_kernel(m, level):
+    """The kernel of the restrictions out of a level, taken together, as
+    bit vectors of m(level)."""
+    rows = tuple(row for (u, _), r in zip(m.gd.edges, m.res) if u == level
+                 for row in r.data)
+    return BitMatrix(len(rows), m.dim(level), rows).kernel_basis()
 
 
 @lru_cache(maxsize=None)
@@ -474,7 +471,7 @@ def _atom_fingerprints(group):
     # the group's atoms in display order; its phiLDR(X), a sum of three
     # atoms, is in no table
     table = _TABLES[group]
-    return tuple((name, tuple(_flatten(fingerprint(table[name]))))
+    return tuple((name, sum(fingerprint(table[name]), ()))
                  for name in _DISPLAY_ORDER if name in table)
 
 
@@ -511,12 +508,14 @@ def _solver(group):
 def identify(m):
     """Write m as a sum of catalog names by matching fingerprints.
 
-    Fingerprints are additive, so this solves an exact nonnegative integer
-    combination.  The atoms' fingerprints are linearly independent (rank 21
-    for K, 4 for C2), so a combination, when one exists, is unique: _solver's
-    inverse gives the counts, kept when none is negative and the atoms with
-    those counts sum to m's whole fingerprint.  A sum of catalog atoms thus
-    gets exactly its own name.
+    The four parts of m's fingerprint (dims, restriction ranks, transfer
+    ranks, mixed composites) are concatenated into one vector, 41
+    coordinates for K and 10 for C2, and so are the atoms'.  Fingerprints
+    are additive, so this solves an exact nonnegative integer combination.
+    The atoms' vectors are linearly independent (rank 21 for K, 4 for C2),
+    so a combination, when one exists, is unique: _solver's inverse gives
+    the counts, kept when none is negative and the atoms with those counts
+    sum to m's whole vector, so a sum of catalog atoms gets exactly its name.
     Fingerprints are not a complete isomorphism invariant in general, so a
     functor that is no such sum may still match one; what backs the names
     is test_identify_names_an_isomorphic_functor, which checks with
@@ -527,7 +526,7 @@ def identify(m):
     if m.is_zero():
         return ()
     atoms = _atom_fingerprints(m.group)
-    remaining = _flatten(fingerprint(m))
+    remaining = sum(fingerprint(m), ())
     counts = [0] * len(atoms)
     for j, row in _solver(m.group):
         f = remaining[j]
@@ -608,7 +607,9 @@ def rank_tuples_of_hom(m1, m2):
     A map is its part below the top level plus its top component.  The maps
     that vanish below the top are exactly S Y Q for any Y, where S spans the
     kernel of the restrictions out of the top of m2 and Q is the top of m1
-    modulo every transfer into it.  Over a lower part with top component A,
+    modulo every transfer into it; the rows of Q span the kernel of the
+    restrictions out of the top of dual(m1), which are those transfers
+    transposed.  Over a lower part with top component A,
     rank(A + S Y Q) takes every value from r[A S] + r[A; Q] - r[[A S]; [Q 0]]
     up to min(r[A S], r[A; Q]) (Marsaglia-Styan 1974; Cohen, Johnson, Rodman
     and Woerdeman 1989), with no gaps because a rank-one change of Y moves
@@ -617,12 +618,9 @@ def rank_tuples_of_hom(m1, m2):
     """
     gd = m1.gd
     top = gd.levels[0]
-    children = [lo for u, lo in gd.edges if u == top]
-    res_out = [m2.res_edge(top, lo) for lo in children]
-    tr_in = [m1.tr_edge(top, lo).transpose() for lo in children]
-    kernel = _stack(res_out, "v").kernel_basis()
+    kernel = restriction_kernel(m2, top)
     S = BitMatrix(len(kernel), m2.dim(top), kernel).transpose()
-    cokernel = _stack(tr_in, "v").kernel_basis()
+    cokernel = restriction_kernel(dual(m1), top)
     Q = BitMatrix(len(cokernel), m1.dim(top), cokernel)
     corner = Q.hstack(BitMatrix.zeros(Q.rows, S.cols))
     # one lifted map per dimension of the maps' projection below the top

@@ -101,7 +101,10 @@ def parse_rep(text):
         except ValueError:
             raise ValueError(f"bad representation tuple: {text!r}") from None
     coeffs = {"": 0, "a": 0, "b": 0, "g": 0}
-    terms = re.findall(r"[+-]?[^+-]+", text.replace(" ", ""))
+    compact = text.replace(" ", "")
+    terms = re.findall(r"[+-]?[^+-]+", compact)
+    if "".join(terms) != compact:
+        raise ValueError(f"stray sign in representation {text!r}")
     if not terms:
         raise ValueError("empty representation")
     for term in terms:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .groups import KLEIN
 from .mackey import (DUAL_NAMES, display_terms, dual, expr_to_mackey, identify,
-                     parse_name_expr, restrict_to)
+                     parse_name_expr, restrict_to, restriction_kernel)
 from .reps import RepC2, RepK, restrict_rep
 
 
@@ -515,11 +515,7 @@ def slice_predicates(m):
     into each level are jointly surjective.
     """
     def one_slice(x):
-        joint = {}
-        for u, lo in x.gd.edges:
-            r = x.res_edge(u, lo)
-            joint[u] = joint[u].vstack(r) if u in joint else r
-        return all(j.kernel_basis() == () for j in joint.values())
+        return not any(restriction_kernel(x, u) for u in {u for u, _ in x.gd.edges})
 
     return {"is_zero_slice_EM": True, "is_one_slice_EM": one_slice(m),
             "is_minus_one_slice_EM": one_slice(dual(m))}

@@ -124,6 +124,10 @@ def test_usage_errors(tmp_path, capsys):
     for rep in ("1,a", "1,2,a,4"):
         assert run(["poincare", "--rep", rep]) == (2, "")
         assert capsys.readouterr().err == f"error: bad representation tuple: '{rep}'\n"
+    # "--rep=" passes a representation that starts with a sign
+    for rep in ("a--b", "2+", "--a", "+-a", "2++a"):
+        assert run(["poincare", f"--rep={rep}"]) == (2, "")
+        assert capsys.readouterr().err == f"error: stray sign in representation '{rep}'\n"
     assert run(["chart", "--n", "9", "--solve", "--cap", "-1"]) == (2, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import json
 import random
@@ -125,9 +126,36 @@ def test_fingerprint_examples():
     assert not is_isomorphic(catalog("mg"), catalog("m + g"))
 
 
+def _catalog_atoms():
+    return [catalog(name, group) for group in ("K", "C2") for name in GROUP_ATOMS[group]]
+
+
+@lru_cache(maxsize=None)
+def _small_box_functors():
+    """Oracle homotopy functors: Klein RepK(0, b, c, d) with |b|, |c|, |d| <= 1
+    and F, F*, m, W; C2 RepC2(0, b) with |b| <= 4 and F, F*, f, g."""
+    inputs = [(RepK(0, *bcd), c) for bcd in itertools.product(range(-1, 2), repeat=3)
+              for c in ("F", "F*", "m", "W")]
+    inputs += [(RepC2(0, b), c) for b in range(-4, 5) for c in ("F", "F*", "f", "g")]
+    return [m for v, c in inputs for m in bredon.homotopy(v, c).values()]
+
+
+# The sha256 of the fingerprints of _catalog_atoms() and then
+# _small_box_functors(), each written as its coordinates in order, as read
+# when the transfer part was still spelled out beside the restriction part:
+# a reordered or changed coordinate fails.
+FINGERPRINT_SHA256 = "89b3caff5bed17853aff0ee550604fb96327c3f18d697f14db55b51f7b033945"
+
+
+def test_fingerprints_are_pinned():
+    functors = _catalog_atoms() + _small_box_functors()
+    assert len(functors) == 323
+    text = ";".join(",".join(map(str, sum(fingerprint(m), ()))) for m in functors)
+    assert hashlib.sha256(text.encode()).hexdigest() == FINGERPRINT_SHA256
+
+
 def test_fingerprint_dual_swaps_parts():
-    for name in CATALOG_ATOMS:
-        m = catalog(name)
+    for m in itertools.chain(_catalog_atoms(), _small_box_functors()):
         dims, res_part, tr_part, _ = fingerprint(m)
         ddims, dres, dtr, _ = fingerprint(dual(m))
         assert dims == ddims
@@ -187,9 +215,9 @@ def test_solver_inverts_the_atoms_on_its_coordinates():
 def test_identify_refuses_a_negative_count(monkeypatch):
     # F's fingerprint minus phiL(F)'s has no negative coordinate, and only
     # the combination F - phiL(F) of the atoms gives it
-    atoms = dict(mk._atom_fingerprints("K"))
-    difference = tuple(a - b for a, b in zip(atoms["F"], atoms["phiL(F)"]))
-    assert min(difference) == 0
+    difference = tuple(tuple(a - b for a, b in zip(p, q)) for p, q in
+                       zip(fingerprint(catalog("F")), fingerprint(catalog("phiL(F)"))))
+    assert min(min(part) for part in difference) == 0
     monkeypatch.setattr(mk, "fingerprint", lambda m: difference)
     assert identify(catalog("F")) is None
 
@@ -326,13 +354,12 @@ def test_identify_recovers_random_sums(group_counts):
 @given(atom_lists, atom_lists)
 @settings(max_examples=100, deadline=None)
 def test_fingerprint_additive_over_sums(atoms1, atoms2):
-    from kleinmackey.mackey import _flatten
     m1 = direct_sum([catalog(a) for a in atoms1])
     m2 = direct_sum([catalog(a) for a in atoms2])
     both = direct_sum([m1, m2])
-    lhs = _flatten(fingerprint(both))
-    rhs = [x + y for x, y in zip(_flatten(fingerprint(m1)),
-                                 _flatten(fingerprint(m2)))]
+    lhs = fingerprint(both)
+    rhs = tuple(tuple(x + y for x, y in zip(p, q))
+                for p, q in zip(fingerprint(m1), fingerprint(m2)))
     assert lhs == rhs
 
 
@@ -472,7 +499,7 @@ def _reference_identify(m):
     remainder with a negative entry."""
     if m.is_zero():
         return ()
-    target = mk._flatten(fingerprint(m))
+    target = sum(fingerprint(m), ())
     atoms = mk._atom_fingerprints(m.group)
 
     def dfs(idx, remaining):

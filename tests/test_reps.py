@@ -48,6 +48,16 @@ def test_parse_examples():
             parse_rep(text)
 
 
+def test_parse_refuses_stray_signs():
+    # every character belongs to a term, so no sign is dropped unread
+    for text in ("a--b", "2+", "--a", "+-a", "2++a"):
+        with pytest.raises(ValueError, match="stray sign"):
+            parse_rep(text)
+    assert parse_rep("a-b") == RepK(0, 1, -1, 0)
+    assert parse_rep("-a+2b") == RepK(0, -1, 2, 0)
+    assert parse_rep("+a") == RepK(0, 1, 0, 0)
+
+
 # the source's restriction tables: columns (1, alpha, beta, gamma), rows
 # (1, sigma)
 PRINTED_RESTRICTIONS = {

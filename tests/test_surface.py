@@ -16,6 +16,8 @@ nothing reads is deleted, or listed in ALLOWED with the reason it stays.
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -266,3 +268,11 @@ def test_no_function_reaches_itself_through_a_closure():
     found = set().union(*(_self_referring_closures(module)
                           for module in _package_modules() + ["__init__"]))
     assert sorted(found) == []
+
+
+def test_benchmark_selfcheck_passes():
+    # perfbench/tracing.py patches package names and the workloads call
+    # them; the benchmark's own tests catch a rename before a benchmark run
+    done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selfcheck.py")],
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-3000:]
