@@ -4,19 +4,21 @@ A representation sphere is modeled by its reduced equivariant cell chain
 complex.  Cells are orbits (one subgroup stabilizer each); differentials are
 stored coefficient-free as "up" maps (a projection of orbits composed with a
 translation) or "down" maps (the formal transpose, appearing in dualized
-complexes).  A smash product routes each factor entry to the product
-cells it joins through a table, local to the call, of where its orbits
-land, keyed by the stabilizers and translation; a product cell is found by
-its position among its pair's orbits, with no search.  Evaluating at a
-subgroup level J with a coefficient functor m turns each cell into one
-copy of m(stab & J) per double coset.  Each entry,
-and with trans = 0 each level res/tr chain map, puts one block of m at the
-larger-stabilizer end's coset of r*trans for each coset r of the smaller end:
-the transfer up, or the restriction back.  One placement's nonzero columns,
-relative to the two cells' offsets, form a stamp, made once per evaluated
-complex for each (res/tr, levels, stabilizers, translation).  Every map is
-assembled from stamps as its columns, the transpose of its matrix, which is
-the form f2's column reduction reads.  Homology of those levelwise
+complexes).  A smash product routes each factor entry to the product cells
+it joins through a table of where its orbits land, keyed by the stabilizers
+and translation and built once per process; a product cell is found by its
+position among its pair's orbits, with no search.  Evaluating at a subgroup
+level J with a coefficient functor m turns each cell into one copy of
+m(stab & J) per double coset.  Each entry, and with trans = 0 each level
+res/tr chain map, puts one block of m at the larger-stabilizer end's coset
+of r*trans for each coset r of the smaller end: the transfer up, or the
+restriction back.  One placement's nonzero columns, relative to the two
+cells' offsets, form a stamp, made once per process for each coefficient
+functor and (res/tr, levels, stabilizers, translation).  Nothing keyed by a
+representation or a complex is kept: each query builds, lays out and
+reduces its own complex.  Every map is assembled from stamps as its
+columns, the transpose of its matrix, which is the form f2's column
+reduction reads.  Homology of those levelwise
 complexes, with the induced restriction and transfer maps obtained by lifting
 cycles, is the graded homotopy Mackey functor, computed one degree at a time
 so that only two degrees' differentials and homology bases are held at once.
@@ -32,6 +34,7 @@ everything small enough that sweeping thousands of representations is cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .f2 import BitMatrix, homology_reps
 from .groups import char_twist, group_by_name
@@ -122,6 +125,43 @@ def _ends(c, n, src, tgt, kind):
     return stabs if kind == "up" else stabs[::-1]
 
 
+def _locate(gd, stab1, stab2, p1, p2):
+    """Orbit twist of the point (p1*stab1, p2*stab2) and the translation
+    carrying the orbit's canonical point (e*stab1, tw*stab2) onto it."""
+    sub = gd.subgroups
+    tw = gd.coset_rep(p1 ^ p2, gd.join(stab1, stab2))
+    for h1 in sub[stab1]:
+        v = p1 ^ h1
+        if (v ^ p2 ^ tw) in sub[stab2]:
+            return tw, v
+    raise AssertionError("orbit location failed")
+
+
+@lru_cache(maxsize=None)
+def _route_table(group, left, kind, stab_s, stab_b, u):
+    """{other factor cell's stabilizer: route}, for every level of the
+    group, for an entry of the first factor (left) or the second with the
+    given kind, end stabilizers and translation.  A route lists, per orbit
+    over the entry's smaller end, its (source, target, translation): the
+    orbit positions within their pairs, and the translation modulo the
+    larger product stabilizer.  It depends on the group lattice alone, so
+    it is built once per process and shared: callers only read it."""
+    gd = group_by_name(group)
+    table = {}
+    for other in gd.levels:
+        pos = gd.coset_index(gd.join(stab_b, other))
+        meet = gd.meet(stab_b, other)
+        found = table[other] = []
+        for small, s in enumerate(gd.cosets(gd.join(stab_s, other))):
+            if left:  # (e * stab_s, s * other) maps to (u * stab_b, s * other)
+                tw, v = _locate(gd, stab_b, other, u, s)
+            else:  # (e * other, s * stab_s) maps to (e * other, s * u * stab_b)
+                tw, v = _locate(gd, other, stab_b, 0, s ^ u)
+            v = gd.coset_rep(v, meet)
+            found.append((small, pos[tw], v) if kind == "up" else (pos[tw], small, v))
+    return table
+
+
 def smash(c1, c2):
     """Tensor of cell complexes, expanding orbit products into orbits.
 
@@ -134,14 +174,12 @@ def smash(c1, c2):
     entries cancel mod 2.  Where those orbits land depends only on the
     entry's kind, stabilizers and translation and on the other factor
     cell's stabilizer.  Each such route, the orbit positions at both ends
-    and the translation, is located once per call in a table local to it,
-    so routing one entry costs two list lookups.
+    and the translation, is located once per process in _route_table, so
+    routing one entry costs two list lookups.
     """
     if c1.group != c2.group:
         raise ValueError("group mismatch in smash")
     gd = c1.gd
-    sub = gd.subgroups
-
     cells = {}
     index = {}  # n1 -> n2 -> [i1][i2]: indices in cells[n1 + n2] of the pair's orbits
     degs1, degs2 = c1.degrees(), c2.degrees()
@@ -157,42 +195,6 @@ def smash(c1, c2):
                     lst.extend([Cell(deg, gd.meet(cell1.stab, cell2.stab))] * k)
                 index.setdefault(n1, {}).setdefault(n2, []).append(row)
 
-    def locate(stab1, stab2, p1, p2):
-        """Orbit twist of the point (p1*stab1, p2*stab2) and the translation
-        carrying the orbit's canonical point (e*stab1, tw*stab2) onto it."""
-        tw = gd.coset_rep(p1 ^ p2, gd.join(stab1, stab2))
-        for h1 in sub[stab1]:
-            v = p1 ^ h1
-            if (v ^ p2 ^ tw) in sub[stab2]:
-                return tw, v
-        raise AssertionError("orbit location failed")
-
-    routes = {}
-
-    def route_table(left, c, n, src, tgt, kind, u, others):
-        """{other factor cell's stabilizer: route} for an entry of the first
-        factor (left) or the second.  A route lists, per orbit over the
-        entry's smaller end, its (source, target, translation): the orbit
-        positions within their pairs, and the translation modulo the larger
-        product stabilizer."""
-        stab_s, stab_b = _ends(c, n, src, tgt, kind)
-        key = (left, kind, stab_s, stab_b, u)
-        table = routes.get(key)
-        if table is None:
-            table = routes[key] = {}
-            for other in others:
-                pos = gd.coset_index(gd.join(stab_b, other))
-                meet = gd.meet(stab_b, other)
-                found = table[other] = []
-                for small, s in enumerate(gd.cosets(gd.join(stab_s, other))):
-                    if left:  # (e * stab_s, s * other) maps to (u * stab_b, s * other)
-                        tw, v = locate(stab_b, other, u, s)
-                    else:  # (e * other, s * stab_s) maps to (e * other, s * u * stab_b)
-                        tw, v = locate(other, stab_b, 0, s ^ u)
-                    v = gd.coset_rep(v, meet)
-                    found.append((small, pos[tw], v) if kind == "up" else (pos[tw], small, v))
-        return table
-
     def toggle(bucket, routed):
         """Flip each routed entry in the bucket."""
         for entry in routed:
@@ -203,9 +205,9 @@ def smash(c1, c2):
 
     # an entry is filed under its source's degree, the higher one
     entries = {n: set() for n in cells}
-    stabs1, stabs2 = ({cell.stab for cs in c.cells.values() for cell in cs} for c in (c1, c2))
     for n1, es in c1.entries.items():
-        tables = [(src1, tgt1, kind, route_table(True, c1, n1, src1, tgt1, kind, u, stabs2))
+        tables = [(src1, tgt1, kind, _route_table(gd.name, True, kind,
+                                                  *_ends(c1, n1, src1, tgt1, kind), u))
                   for src1, tgt1, kind, u in es]
         for n2 in degs2:
             src_rows, tgt_rows = index[n1][n2], index[n1 - 1][n2]
@@ -215,7 +217,8 @@ def smash(c1, c2):
                 for cell2, src_ids, tgt_ids in zip(c2.cells[n2], src_rows[src1], tgt_rows[tgt1])
                 for src, tgt, v in table[cell2.stab]])
     for n2, es in c2.entries.items():
-        tables = [(src2, tgt2, kind, route_table(False, c2, n2, src2, tgt2, kind, u, stabs1))
+        tables = [(src2, tgt2, kind, _route_table(gd.name, False, kind,
+                                                  *_ends(c2, n2, src2, tgt2, kind), u))
                   for src2, tgt2, kind, u in es]
         for n1 in degs1:
             src_rows, tgt_rows = index[n1][n2], index[n1][n2 - 1]
@@ -242,12 +245,24 @@ def sphere_complex(v):
 # coefficients and homology
 
 
+@lru_cache(maxsize=None)
+def _coefficient_tables(coeff):
+    """The tables of LevelComplexes that depend only on the group lattice
+    and the coefficient functor's value, filled as they are read and shared
+    by every complex evaluated with an equal functor in the process:
+    {(level, stab): see _shape}, {(transfer, upper meet, lower meet): block
+    columns} and {see _stamp}."""
+    return {}, {}, {}
+
+
 class LevelComplexes:
     """A cell complex evaluated with a coefficient functor at every level.
 
     Every map comes as its columns, the form f2.homology_reps reads: row j
     of the BitMatrix is the image of basis vector j of the source, so the
     matrix is the transpose of the map.  A level is laid out when first read.
+    Cell shapes, block columns and stamps come from _coefficient_tables;
+    the layouts and grouped entries belong to this complex.
     """
 
     def __init__(self, cx, coeff):
@@ -255,11 +270,9 @@ class LevelComplexes:
             raise ValueError("coefficient functor is over the wrong group")
         self.cx = cx
         self.coeff = coeff
-        self._shapes = {}   # (level, stab) -> see _shape
+        self._shapes, self._columns, self._stamps = _coefficient_tables(coeff)
         self._layouts = {}  # level -> {degree: (offset of each cell, dim)}
         self._entries = {}  # degree -> differential entries grouped by stamp
-        self._columns = {}  # (transfer, upper meet, lower meet) -> block columns
-        self._stamps = {}   # see _stamp
 
     def _shape(self, lv, stab):
         """A cell's blocks at one level: (coset reps in block order, element

@@ -32,6 +32,10 @@ MAX_TOWER_N = 1000
 # 113 MiB as text, and n = 2000 took 27 s and 397 MiB, on the same host.
 MAX_CHART_N = 1000
 
+# argparse reads a value that starts with "-" as an option name
+_REP_HELP = ('representation "a,b,c,d" (Klein) or "a,b" (C2); one that starts '
+            'with "-" needs the --rep= form, as in --rep=-1,0,0,0')
+
 
 def oracle_cell_count(v):
     """Cells of the oracle's complex for S^v, computed without building it."""
@@ -237,8 +241,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("poincare", help="graded dimension series of a twist")
-    sp.add_argument("--rep", required=True,
-                    help='representation "a,b,c,d" (Klein) or "a,b" (C2)')
+    sp.add_argument("--rep", required=True, help=_REP_HELP)
     sp.add_argument("--level", default=None,
                     choices=["K", "L", "D", "R", "e", "C2", "all"],
                     help="subgroup level (default: the top one, K or C2)")
@@ -251,7 +254,7 @@ def build_parser():
                     "oracle engine refuses a sphere whose cell complex has more "
                     f"than {MAX_ORACLE_CELLS} cells, (1+|b|)(1+|c|)(1+|d|) + "
                     "|bcd| for K and 1+|b| for C2, several seconds of work.")
-    sp.add_argument("--rep", required=True)
+    sp.add_argument("--rep", required=True, help=_REP_HELP)
     sp.add_argument("--coeff", default="F")
     sp.add_argument("--engine", default="oracle", choices=["oracle", "closed"])
     sp.add_argument("--level", default="all",

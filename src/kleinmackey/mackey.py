@@ -405,6 +405,7 @@ def check_axioms(m):
 # ---------------------------------------------------------------------------
 # fingerprints and identification
 
+@lru_cache(maxsize=None)
 def fingerprint(m):
     """Isomorphism-invariant rank data, additive under direct sums.
 
@@ -414,7 +415,8 @@ def fingerprint(m):
     transfer part is the restriction part of dual(m), and dualizing swaps
     the middle two parts.  The mixed part holds res . tr between distinct
     edges out of the top; the composites on one edge are zero by
-    check_axioms, so they are left out.
+    check_axioms, so they are left out.  It depends on m's value alone, so
+    it is computed once per distinct functor in the process.
     """
     top = m.gd.levels[0]
     res_down = [r for (u, _), r in zip(m.gd.edges, m.res) if u == top]

@@ -181,6 +181,20 @@ def test_usage_errors(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_rep_starting_with_a_sign_takes_the_equals_form(capsys):
+    assert run(["poincare", "--rep=-1,0,0,0"]) == (0, "x^-1\n")
+    # argparse reads the separate value as an option name
+    assert run(["poincare", "--rep", "-1,0,0,0"]) == (2, "")
+    assert "expected one argument" in capsys.readouterr().err
+
+
+def test_rep_help_names_the_equals_form(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")   # no line break inside the example
+    for command in ("poincare", "homotopy"):
+        assert run([command, "--help"]) == (0, "")
+        assert "the --rep= form, as in --rep=-1,0,0,0" in capsys.readouterr().out, command
+
+
 def test_homotopy_size_guard(capsys):
     for rep in ("0,200,200,200", f"0,{MAX_ORACLE_CELLS}"):
         start = time.perf_counter()

@@ -1,8 +1,10 @@
 import importlib.util
 import itertools
+import pkgutil
 import weakref
 from pathlib import Path
 
+import kleinmackey
 from kleinmackey import bredon as br
 from kleinmackey.f2 import BitMatrix, column_reduction
 from kleinmackey.laurent import LaurentPoly
@@ -544,3 +546,31 @@ def test_grouped_entries_hold_the_complex_entries():
             grouped = [entry for _, group in lvl._grouped_entries(n) for entry in group]
             assert len(grouped) == len(entries), (v, n)
             assert all(id(entry) in own for entry in grouped), (v, n)
+
+
+def _clear_package_caches():
+    """Empty every lru_cache of the package, as a fresh interpreter has them."""
+    for info in pkgutil.iter_modules(kleinmackey.__path__):
+        module = importlib.import_module(f"kleinmackey.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def test_warm_tables_change_nothing():
+    # the route, coefficient and fingerprint tables are process-wide: each
+    # reference answer is computed from empty caches, then every case again
+    # as the tables fill, and once more in reverse order with all of them warm
+    cases = [(RepK(0, b, c, d), coeff) for b, c, d in itertools.product(range(-1, 2), repeat=3)
+             for coeff in ("F", "F*", "m", "W", "mg*")]
+    cases += [(RepC2(0, b), coeff) for b in range(-3, 4) for coeff in ("F", "F*", "f", "g")]
+    cold = {}
+    for case in cases:
+        _clear_package_caches()
+        cold[case] = br.homotopy(*case)
+    for order in (cases, cases[::-1]):
+        for case in order:
+            assert br.homotopy(*case) == cold[case], case
+    for table in cold.values():
+        for m in table.values():
+            assert fingerprint(m) == fingerprint.__wrapped__(m)

@@ -276,3 +276,76 @@ def test_benchmark_selfcheck_passes():
     done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selfcheck.py")],
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-3000:]
+
+
+# methods that change a dict, list or set in place
+MUTATORS = {"add", "append", "clear", "discard", "extend", "insert", "pop", "popitem",
+            "remove", "setdefault", "sort", "update", "difference_update",
+            "intersection_update", "symmetric_difference_update"}
+
+
+def _own_nodes(fn):
+    """The nodes of a function outside the functions nested in it, and
+    those nested functions."""
+    nodes, nested, todo = [], [], list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.FunctionDef):
+            nested.append(node)
+        else:
+            nodes.append(node)
+            todo.extend(ast.iter_child_nodes(node))
+    return nodes, nested
+
+
+def _changed_name(node):
+    """The name whose value node changes in place: an item assigned or
+    deleted, or a mutating method called on it."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        base = node.value
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in MUTATORS:
+        base = node.func.value
+    else:
+        return None
+    return base.id if isinstance(base, ast.Name) else None
+
+
+def _mutated_module_names(tree):
+    """"function: name" for each module-level name that a function changes
+    in place or rebinds through a global statement.  A name the function,
+    or a function around it, binds itself is its own and not counted."""
+    module_names = {name for node in tree.body for name in _module_level_names(node)}
+    found = set()
+    todo = [(fn, set()) for node in tree.body
+            for fn in (node.body if isinstance(node, ast.ClassDef) else [node])
+            if isinstance(fn, ast.FunctionDef)]
+    while todo:
+        fn, outer = todo.pop()
+        nodes, nested = _own_nodes(fn)
+        declared = {name for node in nodes if isinstance(node, ast.Global)
+                    for name in node.names}
+        own = (outer | {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+               | {node.id for node in nodes
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}) - declared
+        changed = {_changed_name(node) for node in nodes} - own
+        found.update(f"{fn.name}: {name}" for name in (changed | declared) & module_names)
+        todo.extend((inner, own) for inner in nested)
+    return found
+
+
+def test_every_cache_is_an_lru_cache():
+    # perfbench/tracing.clear_caches empties the package's lru_caches, so a
+    # table kept in a module-level dict, list or set would make a traced run
+    # start warm; module-level containers are only read
+    found = {f"{module}.{hit}" for module in _package_modules() + ["__init__"]
+             for hit in _mutated_module_names(
+                 ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")))}
+    assert sorted(found) == []
+    planted = ast.parse(
+        "_MEMO, _SEEN, _LAST = {}, [], None\n"
+        "def memo(k):\n    _MEMO[k] = k\n"
+        "def grow(k):\n    def inner():\n        _SEEN.append(k)\n    inner()\n"
+        "def rebind(k):\n    global _LAST\n    _LAST = k\n"
+        "def own(_MEMO, k):\n    _SEEN = []\n    _SEEN.append(k)\n    _MEMO[k] = k\n")
+    assert _mutated_module_names(planted) == {"memo: _MEMO", "inner: _SEEN", "rebind: _LAST"}
