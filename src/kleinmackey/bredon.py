@@ -6,19 +6,20 @@ stored coefficient-free as "up" maps (a projection of orbits composed with a
 translation) or "down" maps (the formal transpose, appearing in dualized
 complexes).  A smash product routes each factor entry to the product cells
 it joins through a table of where its orbits land, keyed by the stabilizers
-and translation and built once per process; a product cell is found by its
-position among its pair's orbits, with no search.  Evaluating at a subgroup
-level J with a coefficient functor m turns each cell into one copy of
-m(stab & J) per double coset.  Each entry, and with trans = 0 each level
-res/tr chain map, puts one block of m at the larger-stabilizer end's coset
-of r*trans for each coset r of the smaller end: the transfer up, or the
-restriction back.  One placement's nonzero columns, relative to the two
+and translation and built once per process; a product cell is found as its
+pair's first cell plus its position among the pair's orbits, with no
+search.  Evaluating at a subgroup level J with a coefficient functor m turns
+each cell into one copy of m(stab & J) per double coset.  Each entry, and
+with trans = 0 each level res/tr chain map, puts one block of m at the
+larger-stabilizer end's coset of r*trans for each coset r of the smaller
+end: the transfer up, or the restriction back.  One placement's nonzero columns, relative to the two
 cells' offsets, form a stamp, made once per process for each coefficient
-functor and (res/tr, levels, stabilizers, translation).  Nothing keyed by a
-representation or a complex is kept: each query builds, lays out and
-reduces its own complex.  Every map is assembled from stamps as its
-columns, the transpose of its matrix, which is the form f2's column
-reduction reads.  Homology of those levelwise
+functor and (res/tr, levels, stabilizers, translation) from the lattice's
+coset tables and the functor's composite res/tr map; the stamp table is the
+only table kept per functor.  Nothing keyed by a representation or a complex
+is kept: each query builds, lays out and reduces its own complex.  Every map
+is assembled from stamps as its columns, the transpose of its matrix, which
+is the form f2's column reduction reads.  Homology of those levelwise
 complexes, with the induced restriction and transfer maps obtained by lifting
 cycles, is the graded homotopy Mackey functor, computed one degree at a time
 so that only two degrees' differentials and homology bases are held at once.
@@ -149,7 +150,7 @@ def _route_table(group, left, kind, stab_s, stab_b, u):
     gd = group_by_name(group)
     table = {}
     for other in gd.levels:
-        pos = gd.coset_index(gd.join(stab_b, other))
+        big_cosets = gd.cosets(gd.join(stab_b, other))
         meet = gd.meet(stab_b, other)
         found = table[other] = []
         for small, s in enumerate(gd.cosets(gd.join(stab_s, other))):
@@ -158,7 +159,8 @@ def _route_table(group, left, kind, stab_s, stab_b, u):
             else:  # (e * other, s * stab_s) maps to (e * other, s * u * stab_b)
                 tw, v = _locate(gd, other, stab_b, 0, s ^ u)
             v = gd.coset_rep(v, meet)
-            found.append((small, pos[tw], v) if kind == "up" else (pos[tw], small, v))
+            big = big_cosets.index(tw)
+            found.append((small, big, v) if kind == "up" else (big, small, v))
     return table
 
 
@@ -167,21 +169,21 @@ def smash(c1, c2):
 
     A product cell is tagged by the twist coset separating its two factors.
     The orbits of one pair of factor cells sit consecutively, in coset
-    order, so a product cell is found at its twist's coset position in its
-    pair's list of indices.  The Leibniz rule sends each factor entry, from
+    order, so a product cell's index is its pair's first index plus its
+    twist's coset position.  The Leibniz rule sends each factor entry, from
     every product cell over its smaller-stabilizer end, to the product cell
     over its other end that holds the image point; pairs of identical routed
     entries cancel mod 2.  Where those orbits land depends only on the
     entry's kind, stabilizers and translation and on the other factor
     cell's stabilizer.  Each such route, the orbit positions at both ends
     and the translation, is located once per process in _route_table, so
-    routing one entry costs two list lookups.
+    routing one entry costs two additions.
     """
     if c1.group != c2.group:
         raise ValueError("group mismatch in smash")
     gd = c1.gd
     cells = {}
-    index = {}  # n1 -> n2 -> [i1][i2]: indices in cells[n1 + n2] of the pair's orbits
+    index = {}  # n1 -> n2 -> [i1][i2]: index in cells[n1 + n2] of the pair's first orbit
     degs1, degs2 = c1.degrees(), c2.degrees()
     for n1 in degs1:
         for cell1 in c1.cells[n1]:
@@ -191,7 +193,7 @@ def smash(c1, c2):
                 row = []
                 for cell2 in c2.cells[n2]:
                     k = len(gd.cosets(gd.join(cell1.stab, cell2.stab)))
-                    row.append(list(range(len(lst), len(lst) + k)))
+                    row.append(len(lst))
                     lst.extend([Cell(deg, gd.meet(cell1.stab, cell2.stab))] * k)
                 index.setdefault(n1, {}).setdefault(n2, []).append(row)
 
@@ -212,9 +214,9 @@ def smash(c1, c2):
         for n2 in degs2:
             src_rows, tgt_rows = index[n1][n2], index[n1 - 1][n2]
             toggle(entries[n1 + n2], [
-                (src_ids[src], tgt_ids[tgt], kind, v)
+                (src_0 + src, tgt_0 + tgt, kind, v)
                 for src1, tgt1, kind, table in tables
-                for cell2, src_ids, tgt_ids in zip(c2.cells[n2], src_rows[src1], tgt_rows[tgt1])
+                for cell2, src_0, tgt_0 in zip(c2.cells[n2], src_rows[src1], tgt_rows[tgt1])
                 for src, tgt, v in table[cell2.stab]])
     for n2, es in c2.entries.items():
         tables = [(src2, tgt2, kind, _route_table(gd.name, False, kind,
@@ -223,7 +225,7 @@ def smash(c1, c2):
         for n1 in degs1:
             src_rows, tgt_rows = index[n1][n2], index[n1][n2 - 1]
             toggle(entries[n1 + n2], [
-                (src_row[src2][src], tgt_row[tgt2][tgt], kind, v)
+                (src_row[src2] + src, tgt_row[tgt2] + tgt, kind, v)
                 for src2, tgt2, kind, table in tables
                 for cell1, src_row, tgt_row in zip(c1.cells[n1], src_rows, tgt_rows)
                 for src, tgt, v in table[cell1.stab]])
@@ -246,13 +248,11 @@ def sphere_complex(v):
 
 
 @lru_cache(maxsize=None)
-def _coefficient_tables(coeff):
-    """The tables of LevelComplexes that depend only on the group lattice
-    and the coefficient functor's value, filled as they are read and shared
-    by every complex evaluated with an equal functor in the process:
-    {(level, stab): see _shape}, {(transfer, upper meet, lower meet): block
-    columns} and {see _stamp}."""
-    return {}, {}, {}
+def _stamp_table(coeff):
+    """LevelComplexes' stamps (see _stamp), which depend only on the group
+    lattice and the coefficient functor's value: filled as they are read and
+    shared by every complex evaluated with an equal functor in the process."""
+    return {}
 
 
 class LevelComplexes:
@@ -261,8 +261,8 @@ class LevelComplexes:
     Every map comes as its columns, the form f2.homology_reps reads: row j
     of the BitMatrix is the image of basis vector j of the source, so the
     matrix is the transpose of the map.  A level is laid out when first read.
-    Cell shapes, block columns and stamps come from _coefficient_tables;
-    the layouts and grouped entries belong to this complex.
+    Stamps come from _stamp_table; the layouts and grouped entries belong
+    to this complex.
     """
 
     def __init__(self, cx, coeff):
@@ -270,26 +270,15 @@ class LevelComplexes:
             raise ValueError("coefficient functor is over the wrong group")
         self.cx = cx
         self.coeff = coeff
-        self._shapes, self._columns, self._stamps = _coefficient_tables(coeff)
+        self._stamps = _stamp_table(coeff)
         self._layouts = {}  # level -> {degree: (offset of each cell, dim)}
         self._entries = {}  # degree -> differential entries grouped by stamp
-
-    def _shape(self, lv, stab):
-        """A cell's blocks at one level: (coset reps in block order, element
-        -> position of its coset, dimension of one block, stab & level)."""
-        shape = self._shapes.get((lv, stab))
-        if shape is None:
-            gd = self.cx.gd
-            join = gd.join(lv, stab)
-            meet = gd.meet(lv, stab)
-            shape = self._shapes[(lv, stab)] = (
-                gd.cosets(join), gd.coset_index(join), self.coeff.dim(meet), meet)
-        return shape
 
     def _layout(self, lv, n):
         """First basis index of each cell of C_n(lv), and dim C_n(lv)."""
         layout = self._layouts.get(lv)
         if layout is None:
+            gd = self.cx.gd
             layout = self._layouts[lv] = {}
             width = {}  # stabilizer -> basis vectors of one cell
             for deg, cells in self.cx.cells.items():
@@ -299,8 +288,8 @@ class LevelComplexes:
                     offs.append(off)
                     w = width.get(cell.stab)
                     if w is None:
-                        reps, _, bdim, _ = self._shape(lv, cell.stab)
-                        w = width[cell.stab] = len(reps) * bdim
+                        w = width[cell.stab] = (len(gd.cosets(gd.join(lv, cell.stab)))
+                                                * self.coeff.dim(gd.meet(lv, cell.stab)))
                     off += w
                 layout[deg] = (offs, off)
         return layout.get(n, ((), 0))
@@ -312,6 +301,7 @@ class LevelComplexes:
         """Nonzero (column, bits) of one placement from a source cell's
         blocks to a target cell's, relative to the two cells' offsets.
 
+        A cell at level lv has one block m(stab & lv) per coset of stab | lv.
         The placement puts one block per coset r of the smaller-stabilizer
         end at the larger end's coset of r*trans: the transfer from the
         source (the smaller end) or the restriction from it (the larger).
@@ -320,31 +310,27 @@ class LevelComplexes:
         stamp = self._stamps.get(key)
         if stamp is not None:
             return stamp
-        ends = self._shape(src_lv, src_stab), self._shape(tgt_lv, tgt_stab)
-        (s_reps, _, s_dim, s_meet), (_, b_index, b_dim, b_meet) = ends if transfer else ends[::-1]
+        gd = self.cx.gd
+        ends = (src_lv, src_stab), (tgt_lv, tgt_stab)
+        small, big = ends if transfer else ends[::-1]
+        s_meet, b_meet = gd.meet(*small), gd.meet(*big)
+        s_dim, b_dim = self.coeff.dim(s_meet), self.coeff.dim(b_meet)
         bits_of = {}
         if s_dim and b_dim:
-            cols = self._block_columns(transfer, b_meet, s_meet)
-            for k, rep in enumerate(s_reps):
-                s_pos, b_pos = k * s_dim, b_index[rep ^ trans] * b_dim
+            block = (self.coeff.tr_map(s_meet, b_meet) if transfer
+                     else self.coeff.res_map(b_meet, s_meet))
+            cols = [(c, col) for c, col in enumerate(block.transpose().data) if col]
+            b_join = gd.join(*big)
+            b_cosets = gd.cosets(b_join)
+            for k, rep in enumerate(gd.cosets(gd.join(*small))):
+                s_pos = k * s_dim
+                b_pos = b_cosets.index(gd.coset_rep(rep ^ trans, b_join)) * b_dim
                 col_off, row_off = (s_pos, b_pos) if transfer else (b_pos, s_pos)
                 for c, col in cols:
                     bits_of[col_off + c] = bits_of.get(col_off + c, 0) ^ col << row_off
         stamp = self._stamps[key] = tuple(
             (c, bits) for c, bits in sorted(bits_of.items()) if bits)
         return stamp
-
-    def _block_columns(self, transfer, upper, lower):
-        """Nonzero columns (index, column) of the composite transfer
-        m(lower) -> m(upper), or of the restriction back."""
-        key = (transfer, upper, lower)
-        cols = self._columns.get(key)
-        if cols is None:
-            block = (self.coeff.tr_map(lower, upper) if transfer
-                     else self.coeff.res_map(upper, lower))
-            cols = self._columns[key] = tuple(
-                (c, col) for c, col in enumerate(block.transpose().data) if col)
-        return cols
 
     def _grouped_entries(self, n):
         """The entries of d: C_n -> C_{n-1} as [(stamp key, [entry])], the

@@ -15,7 +15,7 @@ from . import slices as slc
 from .groups import group_by_name
 from .mackey import (catalog, expr_dims, format_name_expr, identify,
                      mackey_from_json, parse_name_expr)
-from .reps import parse_rep
+from .reps import RepK, parse_rep
 
 
 # The largest sphere the oracle engine takes, counted in cells of its complex.
@@ -224,6 +224,10 @@ def cmd_verify(args, out):
     if args.box is not None:
         if args.suite not in ("hk-oracle", "duality"):
             raise ValueError(f"suite {args.suite} takes no --box")
+        cells = oracle_cell_count(RepK(0, args.box, args.box, args.box))
+        if cells > MAX_ORACLE_CELLS:
+            raise ValueError(f"--box {args.box} reaches a sphere of {cells} cells, "
+                             f"more than the oracle engine's bound of {MAX_ORACLE_CELLS}")
         kwargs["box"] = args.box
     if args.file is not None:
         if args.suite != "axioms":
@@ -303,7 +307,9 @@ def build_parser():
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
     sp.add_argument("--box", type=int, default=None,
-                    help="coefficient box half-width for sweep suites")
+                    help="coefficient box half-width for sweep suites; the "
+                         "sweep's largest sphere, b = c = d = box, may have at most "
+                         f"{MAX_ORACLE_CELLS} cells, so box <= 35")
     sp.add_argument("--file", default=None,
                     help="JSON Mackey functor for the axioms suite")
     sp.set_defaults(func=cmd_verify)

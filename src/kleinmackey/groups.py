@@ -39,8 +39,6 @@ class GroupData:
                       for a in subs for b in subs},
             "_coset_rep": rep,
             "_cosets": cosets,
-            "_coset_index": {h: tuple(cosets[h].index(rep[(g, h)]) for g in self.elements)
-                             for h in subs},
             "level_index": {lv: i for i, lv in enumerate(self.levels)},
             "edge_index": {edge: i for i, edge in enumerate(self.edges)},
             "_chains": chains,
@@ -59,10 +57,6 @@ class GroupData:
 
     def cosets(self, h):
         return self._cosets[h]
-
-    def coset_index(self, h):
-        """Tuple whose entry g (elements are 0..|G|-1) is the position of g*H in cosets(h)."""
-        return self._coset_index[h]
 
     def subgroup_chain(self, a, b):
         """Levels from a down to b (inclusive) along lattice edges; needs b <= a."""

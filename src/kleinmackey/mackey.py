@@ -18,9 +18,9 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from .f2 import BitMatrix, EchelonSpan, column_reduction
+from .f2 import BitMatrix, EchelonSpan
 from .groups import group_by_name
 
 
@@ -421,7 +421,7 @@ def fingerprint(m):
     top = m.gd.levels[0]
     res_down = [r for (u, _), r in zip(m.gd.edges, m.res) if u == top]
     tr_up = [t for (u, _), t in zip(m.gd.edges, m.tr) if u == top]
-    mixed = tuple(_rank((r @ t).data) for i, r in enumerate(res_down)
+    mixed = tuple((r @ t).rank() for i, r in enumerate(res_down)
                   for j, t in enumerate(tr_up) if i != j)
     return (m.dims, _res_part(m), _res_part(dual(m)), mixed)
 
@@ -430,34 +430,24 @@ def _res_part(m):
     """Ranks of the restrictions, one at a time and together.
 
     The levels are read from the lattice: the top, the bottom and the middle
-    levels between them.  In order: each edge; those out of the top stacked,
-    all, then each pair; those into the bottom side by side; the composite
-    from the top to the bottom; and at each middle level h, res top>h and
-    tr bottom>h side by side, whose images together span that much of m(h).
+    levels between them.  In order: each edge; those out of the top stacked
+    (vstack), all, then each pair; those into the bottom side by side
+    (hstack); the composite from the top to the bottom; and at each middle
+    level h, res top>h and tr bottom>h side by side, whose images together
+    span that much of m(h).  Each is a BitMatrix.rank.
     """
     gd = m.gd
     top, *middle, bottom = gd.levels
-    down = [r.data for (u, _), r in zip(gd.edges, m.res) if u == top]
+    down = [r for (u, _), r in zip(gd.edges, m.res) if u == top]
     low = [r for (_, lo), r in zip(gd.edges, m.res) if lo == bottom]
     return (
-        *(_rank(r.data) for r in m.res),
-        _rank([row for rows in down for row in rows]),
-        *(_rank(a + b) for a, b in itertools.combinations(down, 2)),
-        _rank(_side_by_side(low)),
-        _rank(m.res_map(top, bottom).data),
-        *(_rank(_side_by_side([m.res_edge(top, h), m.tr_edge(h, bottom)]))
-          for h in middle),
+        *(r.rank() for r in m.res),
+        reduce(BitMatrix.vstack, down).rank(),
+        *(a.vstack(b).rank() for a, b in itertools.combinations(down, 2)),
+        reduce(BitMatrix.hstack, low).rank(),
+        m.res_map(top, bottom).rank(),
+        *(m.res_edge(top, h).hstack(m.tr_edge(h, bottom)).rank() for h in middle),
     )
-
-
-def _rank(rows):
-    return len(column_reduction(rows)[0]) if any(rows) else 0
-
-
-def _side_by_side(mats):
-    """The rows of matrices with equal row counts, placed side by side."""
-    shifts = list(itertools.accumulate((x.cols for x in mats), initial=0))
-    return [sum(row << s for row, s in zip(rows, shifts)) for rows in zip(*(x.data for x in mats))]
 
 
 def restriction_kernel(m, level):

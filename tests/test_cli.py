@@ -5,7 +5,7 @@ import os
 import re
 import time
 
-from kleinmackey import bredon, slices, sschart
+from kleinmackey import bredon, slices, sschart, verify
 from kleinmackey.cli import (MAX_CHART_N, MAX_ORACLE_CELLS, MAX_TOWER_N, main,
                             oracle_cell_count)
 from kleinmackey.reps import RepC2, RepK
@@ -203,6 +203,26 @@ def test_homotopy_size_guard(capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(MAX_ORACLE_CELLS) in err
+
+
+def test_verify_box_size_guard(capsys, monkeypatch):
+    def never(name, **kwargs):
+        raise AssertionError(f"suite {name} started past the bound")
+
+    # the sweep reaches b = c = d = box: 35 is the 89531-cell 35(a+b+g)
+    assert oracle_cell_count(RepK(0, 35, 35, 35)) <= MAX_ORACLE_CELLS \
+        < oracle_cell_count(RepK(0, 36, 36, 36))
+    monkeypatch.setattr(verify, "run_suite", never)
+    for suite, box in itertools.product(("hk-oracle", "duality"), ("36", "100")):
+        start = time.perf_counter()
+        assert run(["verify", "--suite", suite, "--box", box]) == (2, ""), (suite, box)
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and str(MAX_ORACLE_CELLS) in err
+    monkeypatch.setenv("COLUMNS", "200")
+    assert run(["verify", "--help"]) == (0, "")
+    assert f"at most {MAX_ORACLE_CELLS} cells, so box <= 35" in capsys.readouterr().out
 
 
 def test_tower_size_guard(capsys, monkeypatch):

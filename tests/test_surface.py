@@ -11,13 +11,20 @@ only loads, never definitions, imports or stores:
 Reads inside the definition itself do not count, and the package
 ``__init__`` is not scanned, so an export is not a caller.  A name that
 nothing reads is deleted, or listed in ALLOWED with the reason it stays.
+
+A second gate counts calls, not reads: it runs CLI traffic under cProfile
+and fails on a package function never entered that ALLOWED or
+NEVER_ENTERED does not cover.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -349,3 +356,117 @@ def test_every_cache_is_an_lru_cache():
         "def rebind(k):\n    global _LAST\n    _LAST = k\n"
         "def own(_MEMO, k):\n    _SEEN = []\n    _SEEN.append(k)\n    _MEMO[k] = k\n")
     assert _mutated_module_names(planted) == {"memo: _MEMO", "inner: _SEEN", "rebind: _LAST"}
+
+
+# Package functions that the traffic below never enters, each with its
+# reason.  A function nested in an ALLOWED name is covered by that entry.
+NEVER_ENTERED = {
+    "bredon.MackeyComplex.cell_count": "perfbench/ counts a query's cells with it",
+    "bredon.LevelComplexes.dim": "perfbench/selfcheck.py reads chain dimensions with it",
+    "reps._Rep.__add__": "the Euler-class maps (ROADMAP item 8) build V + chi",
+    "reps._Rep.__sub__": "the spectrum certificate (ROADMAP item 9) reads V - W",
+}
+
+# CLI traffic: the README console blocks, the criterion-10 invocations, the
+# input paths (--file, a failing axioms check, C2, the closed engine, the
+# solver) and every suite but the full axioms sweep, at box 1 where a suite
+# takes a box.  "{functor}" and "{broken}" name JSON files the test writes.
+TRAFFIC = [
+    ["poincare", "--rep", "0,1,1,1"],
+    ["poincare", "--rep", "0,3,-2,-2", "--level", "all"],
+    ["poincare", "--rep", "2,-2,1,-3", "--format", "json"],
+    ["homotopy", "--rep", "1,1,1,1", "--coeff", "F"],
+    ["homotopy", "--rep=-1,-1,-1,-1", "--coeff", "F", "--format", "json"],
+    ["homotopy", "--rep", "1,-2", "--coeff", "f", "--level", "e"],
+    ["homotopy", "--rep", "1,1,1,1", "--engine", "closed"],
+    ["slice", "--group", "K", "--n", "8", "--i", "12"],
+    ["slice", "--group", "C2", "--n", "5", "--i", "6", "--format", "json"],
+    ["tower", "--n", "5"],
+    ["tower", "--n", "9", "--format", "json"],
+    ["tower", "--n", "9", "--format", "svg"],
+    ["chart", "--n", "5", "--format", "text"],
+    ["chart", "--n", "10", "--format", "svg"],
+    ["chart", "--n", "7", "--format", "json"],
+    ["chart", "--n", "10", "--solve", "--cap", "3"],
+    ["mackey", "--name", "mg", "--show"],
+    ["mackey", "--file", "{functor}", "--json"],
+    ["verify", "--suite", "axioms", "--file", "{broken}"],
+    ["verify", "--suite", "convergence"],
+    ["verify", "--suite", "duality", "--box", "1"],
+    ["verify", "--suite", "euler"],
+    ["verify", "--suite", "figure1"],
+    ["verify", "--suite", "hk-oracle", "--box", "1"],
+    ["verify", "--suite", "slice-homotopy"],
+    ["verify", "--suite", "slices-restriction"],
+    ["verify", "--suite", "twistings"],
+]
+
+# Runs the traffic under cProfile, started before the package is imported
+# so that tables built at import time count, and prints the entered
+# functions as [file, first line, name].
+_PROFILED_TRAFFIC = """
+import cProfile, contextlib, io, json, os, sys
+profile = cProfile.Profile()
+profile.enable()
+from kleinmackey import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv, out=io.StringIO()))
+profile.disable()
+profile.create_stats()
+print(json.dumps({"codes": codes, "entered": [
+    [os.path.realpath(f), line, name] for f, line, name in profile.stats]}))
+"""
+
+
+def _package_functions():
+    """{(file, first line, name): "module.qualname"} for every function the
+    package's source defines, nested ones and methods included."""
+    found = {}
+    for module in _package_modules() + ["__init__"]:
+        path = os.path.realpath(PACKAGE / f"{module}.py")
+        todo = [compile(Path(path).read_text(encoding="utf-8"), path, "exec")]
+        while todo:
+            code = todo.pop()
+            consts = [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            todo.extend(consts)
+            found.update(((path, c.co_firstlineno, c.co_name), f"{module}.{c.co_qualname}")
+                         for c in consts if not c.co_name.startswith("<"))
+    return found
+
+
+def never_entered(tmp_path):
+    """Dotted names of the package functions the traffic never enters."""
+    from kleinmackey.mackey import catalog
+
+    doc = catalog("F").to_json_dict()
+    (tmp_path / "functor.json").write_text(json.dumps(doc))
+    doc["tr"]["R>K"] = [[1]]
+    (tmp_path / "broken.json").write_text(json.dumps(doc))
+    files = {"{functor}": str(tmp_path / "functor.json"),
+             "{broken}": str(tmp_path / "broken.json")}
+    traffic = [[files.get(arg, arg) for arg in argv] for argv in TRAFFIC]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _PROFILED_TRAFFIC, json.dumps(traffic)],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert done.returncode == 0, done.stderr[-3000:]
+    result = json.loads(done.stdout)
+    # every invocation succeeds but the broken functor's, which fails its check
+    assert result["codes"] == [1 if "{broken}" in argv else 0 for argv in TRAFFIC]
+    entered = {tuple(key) for key in result["entered"]}
+    return {name for key, name in _package_functions().items() if key not in entered}
+
+
+def test_every_function_is_entered_or_has_a_reason(tmp_path):
+    # the name scan above counts any read of a method's name as a caller;
+    # this counts calls, so an unread function with a common name shows too
+    never = never_entered(tmp_path)
+    covered = {name for name in never
+               if any(name == key or name.startswith(key + ".")
+                      for key in [*ALLOWED, *NEVER_ENTERED])}
+    assert sorted(never - covered) == []
+    # an entry whose function gained a caller or was deleted goes too
+    assert sorted(set(NEVER_ENTERED) - never) == []
+    assert all(NEVER_ENTERED.values())
