@@ -25,7 +25,8 @@ cycles, is the graded homotopy Mackey functor, computed one degree at a time
 so that only two degrees' differentials and homology bases are held at once.
 The degrees are walked from the top down, so that f2.homology_reps can clear
 d_n with the pivots of the already reduced d_{n+1}: it skips columns that
-reduce to zero and hold no new cycle, so no output changes (see f2).
+reduce to zero and hold no new cycle, so no output changes (see f2).  One
+level's graded dimensions alone come from the differentials' ranks.
 
 The minimal cell structure for a character power (one fixed cell plus one
 orbit cell per dimension, boundary alternating fold and 1+translation) keeps
@@ -391,15 +392,24 @@ def homology(lvl: LevelComplexes):
     """Graded homotopy Mackey functors of the evaluated complex.
 
     Returns {degree: Mackey} in ascending degree order, computed one degree
-    at a time from the top down; only the assembled functors are kept.
+    at a time from the top down, so each level's differential is built and
+    reduced once, as one degree's d_out, and then clears the next degree's
+    d_out as its d_in; two degrees' bases and the assembled functors are kept.
     Restriction and transfer matrices on homology come from the chain-level
     maps applied to cycle representatives and projected back to homology
     coordinates.  A chain map is built only where the source has homology
     and the target too; elsewhere the induced matrix is empty.
     """
     gd = lvl.cx.gd
+    degs = lvl.cx.degrees()
     out = {}
-    for n, hom in _degree_homology(lvl, gd.levels):
+    if not degs:
+        return out
+    d_in = {lv: lvl.differential(lv, degs[-1] + 1) for lv in gd.levels}
+    for n in range(degs[-1], degs[0] - 1, -1):
+        d_out = {lv: lvl.differential(lv, n) for lv in gd.levels}
+        hom = {lv: homology_reps(d_out[lv], d_in[lv]) for lv in gd.levels}
+        d_in = d_out
         dims = tuple(len(hom[lv][0]) for lv in gd.levels)
         if not any(dims):
             continue
@@ -407,21 +417,6 @@ def homology(lvl: LevelComplexes):
         tr = tuple(_induced(lvl.chain_tr, lo_lv, u, n, hom) for u, lo_lv in gd.edges)
         out[n] = Mackey(lvl.cx.group, dims, res, tr)
     return dict(sorted(out.items()))
-
-
-def _degree_homology(lvl, levels):
-    """Yield (degree, {level: (cycle reps, projection)}) from the complex's
-    highest degree down to its lowest, building each level's differential
-    once, as one degree's d_out and the next one's d_in.  Going down, each
-    d_in is reduced before the d_out that homology_reps clears with it."""
-    degs = lvl.cx.degrees()
-    if not degs:
-        return
-    d_in = {lv: lvl.differential(lv, degs[-1] + 1) for lv in levels}
-    for n in range(degs[-1], degs[0] - 1, -1):
-        d_out = {lv: lvl.differential(lv, n) for lv in levels}
-        yield n, {lv: homology_reps(d_out[lv], d_in[lv]) for lv in levels}
-        d_in = d_out
 
 
 def _induced(chain_map, src, tgt, n, hom):
@@ -448,9 +443,13 @@ def homotopy(v, coeff="F"):
 
 def homotopy_level_series(v, coeff="F", level=None):
     """Laurent series of the graded dimensions of homotopy(v, coeff) at one
-    level, the top one by default.  Only that level is evaluated, and no
-    restriction or transfer is built."""
+    level, the top one by default, by rank-nullity: dim pi_n = dim C_n -
+    rank d_n - rank d_{n+1}.  Only that level is evaluated, each of its
+    differentials is built and ranked once, and no cycle, projection or
+    restriction and transfer is built."""
     lvl = with_coefficients(sphere_complex(v), coeff)
     level = level or lvl.cx.gd.levels[0]
-    return LaurentPoly.from_dict(
-        {n: len(hom[level][0]) for n, hom in _degree_homology(lvl, (level,))})
+    degs = lvl.cx.degrees()  # a sphere's complex has a cell
+    rank = {n: lvl.differential(level, n).rank() for n in range(degs[0] + 1, degs[-1] + 1)}
+    return LaurentPoly.from_dict({n: lvl.dim(level, n) - rank.get(n, 0) - rank.get(n + 1, 0)
+                                  for n in range(degs[0], degs[-1] + 1)})

@@ -32,6 +32,13 @@ MAX_TOWER_N = 1000
 # 113 MiB as text, and n = 2000 took 27 s and 397 MiB, on the same host.
 MAX_CHART_N = 1000
 
+# The largest closed-form series `poincare` multiplies out, counted as
+# (1+x)(1+y) for the two largest x, y of |b|, |c|, |d|, or 1+|b| for C2: the
+# product of two geometric series costs about that many term products.  At
+# the bound, 0,999,999,999 took 0.5-0.6 s and 0,999999,0,0 3.8 s (ten
+# megabytes of output) on the same host.
+_MAX_POINCARE_TERMS = 10**6
+
 # argparse reads a value that starts with "-" as an option name
 _REP_HELP = ('representation "a,b,c,d" (Klein) or "a,b" (C2); one that starts '
             'with "-" needs the --rep= form, as in --rep=-1,0,0,0')
@@ -45,12 +52,30 @@ def oracle_cell_count(v):
     return (1 + b) * (1 + c) * (1 + d) + b * c * d
 
 
+def _check_oracle_cells(v, what):
+    """ValueError naming what, when S^v is past MAX_ORACLE_CELLS."""
+    cells = oracle_cell_count(v)
+    if cells > MAX_ORACLE_CELLS:
+        raise ValueError(f"{what} has {cells} cells, more than the oracle "
+                         f"engine's bound of {MAX_ORACLE_CELLS}")
+
+
+def _poincare_terms(v):
+    """The size _MAX_POINCARE_TERMS bounds, computed without the series."""
+    sizes = sorted((abs(e) for e in v.coeffs()[1:]), reverse=True) + [0]
+    return (1 + sizes[0]) * (1 + sizes[1])
+
+
 def _emit(out, text):
     out.write(text if text.endswith("\n") else text + "\n")
 
 
 def cmd_poincare(args, out):
     v = parse_rep(args.rep)
+    terms = _poincare_terms(v)
+    if terms > _MAX_POINCARE_TERMS:
+        raise ValueError(f"the series of {args.rep} needs {terms} term products, "
+                         f"past the bound of {_MAX_POINCARE_TERMS}")
     table = hk.poincare(v)
     if args.format == "json":
         doc = {lv: p.to_json_dict() for lv, p in table.items()}
@@ -83,10 +108,7 @@ def cmd_homotopy(args, out):
         found = [({"degree": d, "identified_name": format_name_expr(e)},
                   expr_dims(e, group)) for d, e in sorted(table.items())]
     else:
-        cells = oracle_cell_count(v)
-        if cells > MAX_ORACLE_CELLS:
-            raise ValueError(f"S^V has {cells} cells, more than the oracle "
-                             f"engine's bound of {MAX_ORACLE_CELLS}")
+        _check_oracle_cells(v, "S^V")
         found = []
         for d, m in sorted(bredon.homotopy(v, args.coeff).items()):
             expr = identify(m)
@@ -224,10 +246,8 @@ def cmd_verify(args, out):
     if args.box is not None:
         if args.suite not in ("hk-oracle", "duality"):
             raise ValueError(f"suite {args.suite} takes no --box")
-        cells = oracle_cell_count(RepK(0, args.box, args.box, args.box))
-        if cells > MAX_ORACLE_CELLS:
-            raise ValueError(f"--box {args.box} reaches a sphere of {cells} cells, "
-                             f"more than the oracle engine's bound of {MAX_ORACLE_CELLS}")
+        _check_oracle_cells(RepK(0, args.box, args.box, args.box),
+                            f"--box {args.box}'s largest sphere")
         kwargs["box"] = args.box
     if args.file is not None:
         if args.suite != "axioms":
@@ -244,7 +264,12 @@ def build_parser():
         description="Mackey functor calculus over C2 and the Klein four-group")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("poincare", help="graded dimension series of a twist")
+    sp = sub.add_parser(
+        "poincare", help="graded dimension series of a twist",
+        description="Graded dimension series of a twisted sphere, from the closed "
+                    "forms. It refuses a twist whose (1+x)(1+y), for the two "
+                    "largest x, y of |b|, |c|, |d| (1+|b| for C2), is past "
+                    f"{_MAX_POINCARE_TERMS}, several seconds of work.")
     sp.add_argument("--rep", required=True, help=_REP_HELP)
     sp.add_argument("--level", default=None,
                     choices=["K", "L", "D", "R", "e", "C2", "all"],

@@ -53,15 +53,12 @@ class BitMatrix:
 
     @staticmethod
     def from_rows(rows, cols):
-        """Build from an iterable of rows, each a list of 0/1 or an int bitmask."""
+        """Build from an iterable of rows, each a list of 0/1."""
         data = []
         for row in rows:
-            if isinstance(row, int):
-                data.append(row)
-            else:
-                if len(row) != cols:
-                    raise ValueError("row length != cols")
-                data.append(sum((1 << j) for j, x in enumerate(row) if x & 1))
+            if len(row) != cols:
+                raise ValueError("row length != cols")
+            data.append(sum((1 << j) for j, x in enumerate(row) if x & 1))
         return BitMatrix(len(data), cols, tuple(data))
 
     def entry(self, i, j):

@@ -5,9 +5,9 @@ import os
 import re
 import time
 
-from kleinmackey import bredon, slices, sschart, verify
-from kleinmackey.cli import (MAX_CHART_N, MAX_ORACLE_CELLS, MAX_TOWER_N, main,
-                            oracle_cell_count)
+from kleinmackey import bredon, hk, mackey, slices, sschart, verify
+from kleinmackey.cli import (_MAX_POINCARE_TERMS, MAX_CHART_N, MAX_ORACLE_CELLS,
+                            MAX_TOWER_N, _poincare_terms, main, oracle_cell_count)
 from kleinmackey.reps import RepC2, RepK
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -223,6 +223,50 @@ def test_verify_box_size_guard(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "200")
     assert run(["verify", "--help"]) == (0, "")
     assert f"at most {MAX_ORACLE_CELLS} cells, so box <= 35" in capsys.readouterr().out
+
+
+def _refused_fast(capsys, argv, bound):
+    start = time.perf_counter()
+    assert run(argv) == (2, ""), argv
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and str(bound) in err
+
+
+def test_poincare_size_guard(capsys, monkeypatch):
+    def never(v):
+        raise AssertionError(f"poincare({v}) started past the bound")
+
+    # the two largest of |b|, |c|, |d| count, and a lone one with 1 + |b|
+    assert _poincare_terms(RepK(0, 999, -999, 999)) == _MAX_POINCARE_TERMS
+    assert _poincare_terms(RepK(5, 0, 999999, 0)) == _MAX_POINCARE_TERMS
+    assert _poincare_terms(RepC2(0, -999999)) == _MAX_POINCARE_TERMS
+    monkeypatch.setattr(hk, "poincare", never)
+    for rep in ("0,1000,1000,1000", "0,100000,100000,100000", "0,100000000,1,1",
+                "0,1000000", "0,-1000000"):
+        _refused_fast(capsys, ["poincare", f"--rep={rep}"], _MAX_POINCARE_TERMS)
+    _refused_fast(capsys, ["poincare", "--rep", "0,1000,0,1000", "--format", "json"],
+                  _MAX_POINCARE_TERMS)
+    monkeypatch.setenv("COLUMNS", "200")
+    assert run(["poincare", "--help"]) == (0, "")
+    assert f"is past {_MAX_POINCARE_TERMS}" in capsys.readouterr().out
+
+
+def test_name_expression_size_guard(capsys):
+    bound = mackey._MAX_EXPR_DIM
+    for argv in (["homotopy", "--rep", "0,1,0,0", "--coeff", "F^100000000"],
+                 ["homotopy", "--rep", "1,1,1,1", "--coeff", f"g^{bound + 1}"],
+                 ["mackey", "--name", "F^100000000"]):
+        _refused_fast(capsys, argv, bound)
+    assert mackey.expr_to_mackey((("g", bound),)).dims[0] == bound
+    # the closed engine builds no matrix, so it still answers
+    code, text = run(["homotopy", "--engine", "closed", "--rep", "1,1,1,1",
+                      "--coeff", "F^100000000"])
+    assert code == 0 and text.endswith("pi_4 = F^100000000\n"), text
+    # chart --solve builds hom spaces between chart entries, g^27 at most
+    assert max(sum(mackey.expr_dims(e, group)) for group in ("K", "C2")
+               for n in range(33) for _, e in sschart.build_E1(n, group).entries) == 27
 
 
 def test_tower_size_guard(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 import gc
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -365,3 +367,22 @@ def test_c2_charts_converge():
         patterns = ss.solve_differentials(chart)
         assert patterns, n
         assert ss.check_convergence(chart, patterns[0])["pass"], n
+
+
+def test_make_charts_writes_the_solver_note(tmp_path, monkeypatch):
+    # n = 5 renders the published differentials; n = 12 has 386 patterns,
+    # so its first solver pattern comes with a truncated count
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_charts.py"
+    spec = importlib.util.spec_from_file_location("make_charts", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.chdir(tmp_path)
+    assert script.main(ns=(5, 12)) == 0
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"chart_n{n}.{ext}" for n in (5, 12) for ext in ("txt", "json", "svg"))
+    doc = json.loads((out / "chart_n12.json").read_text(encoding="utf-8"))
+    assert "truncated" in doc["solver"]
+    assert "solver:" in (out / "chart_n12.svg").read_text(encoding="utf-8")
+    assert "solver" not in json.loads((out / "chart_n5.json").read_text(encoding="utf-8"))
+    assert "solver:" not in (out / "chart_n5.svg").read_text(encoding="utf-8")

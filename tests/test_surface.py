@@ -362,7 +362,6 @@ def test_every_cache_is_an_lru_cache():
 # reason.  A function nested in an ALLOWED name is covered by that entry.
 NEVER_ENTERED = {
     "bredon.MackeyComplex.cell_count": "perfbench/ counts a query's cells with it",
-    "bredon.LevelComplexes.dim": "perfbench/selfcheck.py reads chain dimensions with it",
     "reps._Rep.__add__": "the Euler-class maps (ROADMAP item 8) build V + chi",
     "reps._Rep.__sub__": "the spectrum certificate (ROADMAP item 9) reads V - W",
 }
