@@ -8,7 +8,9 @@ complexes).  A smash product routes each factor entry to the product cells
 it joins through a table of where its orbits land, keyed by the stabilizers
 and translation and built once per process; a product cell is found as its
 pair's first cell plus its position among the pair's orbits, with no
-search.  Evaluating at a subgroup level J with a coefficient functor m turns
+search.  One pass of the Leibniz rule serves both factors, reading the
+pairs' first cells along rows for the first and along columns for the
+second.  Evaluating at a subgroup level J with a coefficient functor m turns
 each cell into one copy of m(stab & J) per double coset.  Each entry, and
 with trans = 0 each level res/tr chain map, puts one block of m at the
 larger-stabilizer end's coset of r*trans for each coset r of the smaller
@@ -121,12 +123,6 @@ def dualize(c):
     return MackeyComplex(c.group, cells, entries)
 
 
-def _ends(c, n, src, tgt, kind):
-    """An entry's smaller- and larger-stabilizer ends' stabilizers."""
-    stabs = c.cells[n][src].stab, c.cells[n - 1][tgt].stab
-    return stabs if kind == "up" else stabs[::-1]
-
-
 def _locate(gd, stab1, stab2, p1, p2):
     """Orbit twist of the point (p1*stab1, p2*stab2) and the translation
     carrying the orbit's canonical point (e*stab1, tw*stab2) onto it."""
@@ -140,15 +136,17 @@ def _locate(gd, stab1, stab2, p1, p2):
 
 
 @lru_cache(maxsize=None)
-def _route_table(group, left, kind, stab_s, stab_b, u):
+def _route_table(group, left, kind, stab_src, stab_tgt, u):
     """{other factor cell's stabilizer: route}, for every level of the
     group, for an entry of the first factor (left) or the second with the
-    given kind, end stabilizers and translation.  A route lists, per orbit
-    over the entry's smaller end, its (source, target, translation): the
-    orbit positions within their pairs, and the translation modulo the
-    larger product stabilizer.  It depends on the group lattice alone, so
-    it is built once per process and shared: callers only read it."""
+    given kind, source and target stabilizers and translation.  A route
+    lists, per orbit over the entry's smaller end, its (source, target,
+    translation): the orbit positions within their pairs, and the
+    translation modulo the larger product stabilizer.  It depends on the
+    group lattice alone, so it is built once per process and shared:
+    callers only read it."""
     gd = group_by_name(group)
+    stab_s, stab_b = (stab_src, stab_tgt) if kind == "up" else (stab_tgt, stab_src)
     table = {}
     for other in gd.levels:
         big_cosets = gd.cosets(gd.join(stab_b, other))
@@ -171,32 +169,35 @@ def smash(c1, c2):
     A product cell is tagged by the twist coset separating its two factors.
     The orbits of one pair of factor cells sit consecutively, in coset
     order, so a product cell's index is its pair's first index plus its
-    twist's coset position.  The Leibniz rule sends each factor entry, from
-    every product cell over its smaller-stabilizer end, to the product cell
-    over its other end that holds the image point; pairs of identical routed
-    entries cancel mod 2.  Where those orbits land depends only on the
-    entry's kind, stabilizers and translation and on the other factor
-    cell's stabilizer.  Each such route, the orbit positions at both ends
-    and the translation, is located once per process in _route_table, so
-    routing one entry costs two additions.
+    twist's coset position: index[(n1, n2)][i1][i2].  The Leibniz rule
+    sends each factor entry, from every product cell over its
+    smaller-stabilizer end, to the product cell over its other end that
+    holds the image point; pairs of identical routed entries cancel mod 2.
+    Where those orbits land depends only on the entry's kind, stabilizers
+    and translation and on the other factor cell's stabilizer.  Each such
+    route, the orbit positions at both ends and the translation, is located
+    once per process in _route_table, so routing one entry costs two
+    additions.  One pass serves both factors: an entry of c1 reads a row of
+    the index, an entry of c2 a column, from the same table transposed.
     """
     if c1.group != c2.group:
         raise ValueError("group mismatch in smash")
     gd = c1.gd
     cells = {}
-    index = {}  # n1 -> n2 -> [i1][i2]: index in cells[n1 + n2] of the pair's first orbit
-    degs1, degs2 = c1.degrees(), c2.degrees()
-    for n1 in degs1:
-        for cell1 in c1.cells[n1]:
-            for n2 in degs2:
-                deg = n1 + n2
-                lst = cells.setdefault(deg, [])
+    index = {}  # (n1, n2) -> [i1][i2]: index in cells[n1 + n2] of the pair's first orbit
+    for n1 in c1.degrees():
+        for n2 in c2.degrees():
+            deg = n1 + n2
+            lst = cells.setdefault(deg, [])
+            rows = index[(n1, n2)] = []
+            for cell1 in c1.cells[n1]:
                 row = []
                 for cell2 in c2.cells[n2]:
                     k = len(gd.cosets(gd.join(cell1.stab, cell2.stab)))
                     row.append(len(lst))
                     lst.extend([Cell(deg, gd.meet(cell1.stab, cell2.stab))] * k)
-                index.setdefault(n1, {}).setdefault(n2, []).append(row)
+                rows.append(row)
+    by_column = {(n2, n1): list(zip(*rows)) for (n1, n2), rows in index.items()}
 
     def toggle(bucket, routed):
         """Flip each routed entry in the bucket."""
@@ -208,28 +209,19 @@ def smash(c1, c2):
 
     # an entry is filed under its source's degree, the higher one
     entries = {n: set() for n in cells}
-    for n1, es in c1.entries.items():
-        tables = [(src1, tgt1, kind, _route_table(gd.name, True, kind,
-                                                  *_ends(c1, n1, src1, tgt1, kind), u))
-                  for src1, tgt1, kind, u in es]
-        for n2 in degs2:
-            src_rows, tgt_rows = index[n1][n2], index[n1 - 1][n2]
-            toggle(entries[n1 + n2], [
-                (src_0 + src, tgt_0 + tgt, kind, v)
-                for src1, tgt1, kind, table in tables
-                for cell2, src_0, tgt_0 in zip(c2.cells[n2], src_rows[src1], tgt_rows[tgt1])
-                for src, tgt, v in table[cell2.stab]])
-    for n2, es in c2.entries.items():
-        tables = [(src2, tgt2, kind, _route_table(gd.name, False, kind,
-                                                  *_ends(c2, n2, src2, tgt2, kind), u))
-                  for src2, tgt2, kind, u in es]
-        for n1 in degs1:
-            src_rows, tgt_rows = index[n1][n2], index[n1][n2 - 1]
-            toggle(entries[n1 + n2], [
-                (src_row[src2] + src, tgt_row[tgt2] + tgt, kind, v)
-                for src2, tgt2, kind, table in tables
-                for cell1, src_row, tgt_row in zip(c1.cells[n1], src_rows, tgt_rows)
-                for src, tgt, v in table[cell1.stab]])
+    for left, c, other, table_of in ((True, c1, c2, index), (False, c2, c1, by_column)):
+        for n, es in c.entries.items():
+            srcs, tgts = c.cells[n], c.cells[n - 1]
+            tables = [(i, j, kind, _route_table(gd.name, left, kind, srcs[i].stab,
+                                                tgts[j].stab, u))
+                      for i, j, kind, u in es]
+            for m, other_cells in other.cells.items():
+                src_rows, tgt_rows = table_of[(n, m)], table_of[(n - 1, m)]
+                toggle(entries[n + m], [
+                    (src_0 + src, tgt_0 + tgt, kind, v)
+                    for i, j, kind, table in tables
+                    for cell, src_0, tgt_0 in zip(other_cells, src_rows[i], tgt_rows[j])
+                    for src, tgt, v in table[cell.stab]])
 
     return MackeyComplex(c1.group, cells, entries)
 

@@ -13,8 +13,8 @@ import sys
 from . import bredon, hk, sschart, verify
 from . import slices as slc
 from .groups import group_by_name
-from .mackey import (catalog, expr_dims, format_name_expr, identify,
-                     mackey_from_json, parse_name_expr)
+from .mackey import (_MAX_MAP_ENTRIES, _checked_dims, catalog, expr_dims,
+                     format_name_expr, identify, mackey_from_json, parse_name_expr)
 from .reps import RepK, parse_rep
 
 
@@ -23,6 +23,23 @@ from .reps import RepK, parse_rep
 # 35(alpha+beta+gamma), 89531 cells, took 4.5-7.8 s over eight runs and
 # 141 MiB on a 2-core x86-64 host with Python 3.11.
 MAX_ORACLE_CELLS = 90000
+
+# The most entries the oracle's largest differential may have, with D the
+# coefficient's largest level dimension: D^2 u_n u_{n-1}, for u_n the cells
+# of degree n at the bottom level, where every orbit splits into points.
+# Past its first 16 MiB a query holds about 0.5-0.6 bytes per entry once the
+# differentials dominate.  On the same host, near the bound, 0,2,2,2 with
+# F^416, 0,3,3,3 with F^200, 0,5,5,5 with F^79 and 0,10,10,10 with F^21 took
+# 0.5-1.1 s and 116-134 MiB, 0,30,30,30 with F^2 4.2 s and 149 MiB, and
+# 0,1,0,0 with F^10000, where the coefficient's own maps dominate, 2.2 s and
+# 470 MiB.  Past it, 0,2,2,2 with F^1000 (1.15*10^9 entries) took 2.2 s and
+# 606 MiB, and with F^2000 ran out of memory under a 1.5 GB limit.
+_MAX_ORACLE_ENTRIES = 2 * 10**8
+
+# The largest |k| the closed engine takes for a + k rho.  Its cost is linear
+# in k: with F, 0,10000,10000,10000 took 0.56 s and 42 MiB on the same host,
+# with all 21 Klein atoms 2.0 s, and 0,100000,100000,100000 with F 5.5 s.
+_MAX_CLOSED_K = 10**4
 
 # The largest n `tower` takes.  Above n = 10 the tower is the bare slice
 # list, whose cost grows about as n^2: n = 1000 took 4 s on the same host.
@@ -52,12 +69,32 @@ def oracle_cell_count(v):
     return (1 + b) * (1 + c) * (1 + d) + b * c * d
 
 
-def _check_oracle_cells(v, what):
-    """ValueError naming what, when S^v is past MAX_ORACLE_CELLS."""
+def _oracle_entries(v, dims):
+    """The size _MAX_ORACLE_ENTRIES bounds, computed without the complex: the
+    bottom level's cells per degree are the coefficients of the product, over
+    the characters, of 1 + 2(x^s + ... + x^(|n|s)), s the sign of n."""
+    cells = [1]
+    for n in v.coeffs()[1:]:
+        factor = [1] + [2] * n if n >= 0 else [2] * -n + [1]
+        product = [0] * (len(cells) + len(factor) - 1)
+        for i, x in enumerate(cells):
+            for j, y in enumerate(factor):
+                product[i + j] += x * y
+        cells = product
+    return max(dims) ** 2 * max((x * y for x, y in zip(cells, cells[1:])), default=0)
+
+
+def _check_oracle_cells(v, coeff, what):
+    """ValueError naming what, when S^v is past MAX_ORACLE_CELLS or, with the
+    coefficient name expression coeff, past _MAX_ORACLE_ENTRIES."""
     cells = oracle_cell_count(v)
     if cells > MAX_ORACLE_CELLS:
         raise ValueError(f"{what} has {cells} cells, more than the oracle "
                          f"engine's bound of {MAX_ORACLE_CELLS}")
+    entries = _oracle_entries(v, _checked_dims(parse_name_expr(coeff, v.group), v.group))
+    if entries > _MAX_ORACLE_ENTRIES:
+        raise ValueError(f"{what} with {coeff} has a differential of {entries} entries, "
+                         f"more than the oracle engine's bound of {_MAX_ORACLE_ENTRIES}")
 
 
 def _poincare_terms(v):
@@ -104,20 +141,22 @@ def cmd_homotopy(args, out):
             raise ValueError("closed engine needs a suspension of the form "
                              "a + k rho; poincare gives the level series "
                              "of other twists") from None
+        if abs(k) > _MAX_CLOSED_K:
+            raise ValueError(f"closed engine takes |k| up to {_MAX_CLOSED_K} in "
+                             f"a + k rho, and {args.rep} has k = {k}")
         table = slc.graded_homotopy(a, k, parse_name_expr(args.coeff, group), group)
         found = [({"degree": d, "identified_name": format_name_expr(e)},
                   expr_dims(e, group)) for d, e in sorted(table.items())]
     else:
-        _check_oracle_cells(v, "S^V")
+        _check_oracle_cells(v, args.coeff, "S^V")
         found = []
         for d, m in sorted(bredon.homotopy(v, args.coeff).items()):
             expr = identify(m)
-            found.append(({
-                "degree": d,
-                "mackey": m.to_json_dict(),
-                "identified_name":
-                    format_name_expr(expr) if expr is not None else "unidentified",
-            }, m.dims))
+            row = {"degree": d, "identified_name":
+                   format_name_expr(expr) if expr is not None else "unidentified"}
+            if args.format == "json":
+                row["mackey"] = m.to_json_dict()
+            found.append((row, m.dims))
     rows = [row for row, _ in found]
     if args.level != "all":
         index = group_by_name(group).level_index[args.level]
@@ -246,7 +285,7 @@ def cmd_verify(args, out):
     if args.box is not None:
         if args.suite not in ("hk-oracle", "duality"):
             raise ValueError(f"suite {args.suite} takes no --box")
-        _check_oracle_cells(RepK(0, args.box, args.box, args.box),
+        _check_oracle_cells(RepK(0, args.box, args.box, args.box), "F",
                             f"--box {args.box}'s largest sphere")
         kwargs["box"] = args.box
     if args.file is not None:
@@ -282,7 +321,14 @@ def build_parser():
         description="Graded homotopy Mackey functors of a twisted sphere. The "
                     "oracle engine refuses a sphere whose cell complex has more "
                     f"than {MAX_ORACLE_CELLS} cells, (1+|b|)(1+|c|)(1+|d|) + "
-                    "|bcd| for K and 1+|b| for C2, several seconds of work.")
+                    "|bcd| for K and 1+|b| for C2, several seconds of work, and "
+                    "a query whose largest differential, D^2 u_n u_{n-1} for D "
+                    "the coefficient's largest level dimension and u_n the "
+                    "sphere's cells of degree n at the bottom level, has more "
+                    f"than {_MAX_ORACLE_ENTRIES} entries. The closed engine "
+                    f"refuses |k| past {_MAX_CLOSED_K} in a + k rho. --format "
+                    "json refuses a functor whose maps have more than "
+                    f"{_MAX_MAP_ENTRIES} entries in all.")
     sp.add_argument("--rep", required=True, help=_REP_HELP)
     sp.add_argument("--coeff", default="F")
     sp.add_argument("--engine", default="oracle", choices=["oracle", "closed"])
@@ -321,7 +367,11 @@ def build_parser():
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_chart)
 
-    sp = sub.add_parser("mackey", help="show a catalog Mackey functor")
+    sp = sub.add_parser(
+        "mackey", help="show a catalog Mackey functor",
+        description="Show a catalog Mackey functor, or one read from JSON. It "
+                    "refuses a functor whose maps have more than "
+                    f"{_MAX_MAP_ENTRIES} entries in all, as text or JSON.")
     sp.add_argument("--name", default="F")
     sp.add_argument("--group", default="K", choices=["K", "C2"])
     sp.add_argument("--show", action="store_true", help="Lewis diagram (default)")

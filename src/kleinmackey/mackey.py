@@ -24,6 +24,14 @@ from .f2 import BitMatrix, EchelonSpan
 from .groups import group_by_name
 
 
+# The most matrix entries, summed over the maps, that to_json_dict writes.  A
+# written map is nested lists, so its size grows as the square of the
+# dimension: at the bound, mackey --name F^288 --json (995328 entries) took
+# 0.6-0.9 s and 104 MiB on a 2-core x86-64 host with Python 3.11, where F^1000
+# took 6.5 s and 1072 MiB.
+_MAX_MAP_ENTRIES = 10**6
+
+
 @dataclass(frozen=True)
 class Mackey:
     group: str
@@ -67,6 +75,12 @@ class Mackey:
         return all(d == 0 for d in self.dims)
 
     def to_json_dict(self):
+        """The functor as a document of dims and nested-list maps; ValueError
+        when its maps hold more than _MAX_MAP_ENTRIES entries in all."""
+        entries = sum(m.rows * m.cols for m in self.res + self.tr)
+        if entries > _MAX_MAP_ENTRIES:
+            raise ValueError(f"the functor's maps have {entries} entries, past the "
+                             f"bound of {_MAX_MAP_ENTRIES} for printing them")
         levels = self.gd.levels
         return {
             "group": self.group,
@@ -317,12 +331,18 @@ def _expand_atom(base, group):
 _MAX_EXPR_DIM = 50000
 
 
+def _checked_dims(expr, group):
+    """expr_dims of a name expression; ValueError past _MAX_EXPR_DIM."""
+    dims = expr_dims(expr, group)
+    if sum(dims) > _MAX_EXPR_DIM:
+        raise ValueError(f"{format_name_expr(expr)} has total dimension {sum(dims)}, "
+                         f"past the bound of {_MAX_EXPR_DIM}")
+    return dims
+
+
 def expr_to_mackey(expr, group="K"):
     """The direct sum a name expression names; ValueError past _MAX_EXPR_DIM."""
-    size = sum(expr_dims(expr, group))
-    if size > _MAX_EXPR_DIM:
-        raise ValueError(f"{format_name_expr(expr)} has total dimension {size}, "
-                         f"past the bound of {_MAX_EXPR_DIM}")
+    _checked_dims(expr, group)
     parts = []
     for atom, mult in expr:
         parts.extend([_TABLES[group][atom]] * mult)

@@ -3,11 +3,14 @@ import itertools
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 
 from kleinmackey import bredon, hk, mackey, slices, sschart, verify
-from kleinmackey.cli import (_MAX_POINCARE_TERMS, MAX_CHART_N, MAX_ORACLE_CELLS,
-                            MAX_TOWER_N, _poincare_terms, main, oracle_cell_count)
+from kleinmackey.cli import (_MAX_CLOSED_K, _MAX_ORACLE_ENTRIES, _MAX_POINCARE_TERMS,
+                            MAX_CHART_N, MAX_ORACLE_CELLS, MAX_TOWER_N, _oracle_entries,
+                            _poincare_terms, main, oracle_cell_count)
 from kleinmackey.reps import RepC2, RepK
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -301,6 +304,12 @@ def test_chart_size_guard(capsys, monkeypatch):
         assert str(MAX_CHART_N) in err
 
 
+def _largest_differential(v):
+    """The largest u_n u_{n-1} of S^v's complex with F, read off the complex."""
+    lvl = bredon.with_coefficients(bredon.sphere_complex(v), "F")
+    return max((lvl.dim("e", n) * lvl.dim("e", n - 1) for n in lvl.cx.degrees()), default=0)
+
+
 def test_oracle_cell_count_matches_the_complex():
     for b, c, d in itertools.product(range(-3, 4), repeat=3):
         v = RepK(1, b, c, d)
@@ -308,6 +317,77 @@ def test_oracle_cell_count_matches_the_complex():
     for b in range(-6, 7):
         v = RepC2(-1, b)
         assert oracle_cell_count(v) == bredon.sphere_complex(v).cell_count(), v
+
+
+def test_oracle_entries_match_the_complex():
+    # the largest level dimension counts, squared, and the bottom level's
+    # cells per degree count as they are in the complex
+    for b, c, d in itertools.product(range(-3, 4), repeat=3):
+        v = RepK(1, b, c, d)
+        assert _oracle_entries(v, (1, 2)) == 4 * _largest_differential(v), v
+    for b in range(-6, 7):
+        v = RepC2(-1, b)
+        assert _oracle_entries(v, (3,)) == 9 * _largest_differential(v), v
+
+
+def test_oracle_size_bound_keeps_the_known_queries():
+    # the largest sweep sphere, 35(alpha+beta+gamma), answers with F and F*,
+    # and so does every sphere of the benchmark's oracle-large workload, up to
+    # 341 cells with |b|, |c|, |d| <= 8, with each of its coefficients
+    assert _oracle_entries(RepK(0, 35, 35, 35), (1,)) <= _MAX_ORACLE_ENTRIES
+    largest = max(map(max, (mackey.catalog(name).dims
+                             for name in ("F", "F*", "m", "mg", "mg*", "W"))))
+    assert max(_oracle_entries(v, (largest,)) for v in itertools.starmap(
+        RepK, itertools.product([0], *[range(-8, 9)] * 3))
+        if oracle_cell_count(v) <= 341) <= _MAX_ORACLE_ENTRIES
+    assert _oracle_entries(RepK(0, 2, 2, 2), (417,)) > _MAX_ORACLE_ENTRIES
+
+
+# Runs the CLI in a child that first lowers its own address space to 1.5 GB,
+# so an unbounded request fails there with MemoryError, not on the host.
+_LIMITED_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1500 * 2**20, 1500 * 2**20))
+from kleinmackey.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+# Each of these ran for seconds, raised MemoryError or lost sys.stderr
+# without its bound, under the same limit.
+OVERSIZED = [
+    (["mackey", "--name", "F^1000", "--json"], mackey._MAX_MAP_ENTRIES),
+    (["mackey", "--name", "F^3000"], mackey._MAX_MAP_ENTRIES),
+    (["homotopy", "--rep", "0,1,0,0", "--coeff", "F^1000", "--format", "json"],
+     mackey._MAX_MAP_ENTRIES),
+    (["homotopy", "--engine", "closed", "--rep", "0,1000000,1000000,1000000"], _MAX_CLOSED_K),
+    (["homotopy", "--engine", "closed", "--rep", "0,100000000,100000000,100000000"],
+     _MAX_CLOSED_K),
+    (["homotopy", "--engine", "closed", "--rep=0,-1000000"], _MAX_CLOSED_K),
+    (["homotopy", "--rep", "0,2,2,2", "--coeff", "F^1000"], _MAX_ORACLE_ENTRIES),
+    (["homotopy", "--rep", "0,2,2,2", "--coeff", "F^2000", "--level", "K"],
+     _MAX_ORACLE_ENTRIES),
+    (["homotopy", "--rep", "0,10,10,10", "--coeff", "F^100"], _MAX_ORACLE_ENTRIES),
+]
+
+
+def test_oversized_requests_exit_2_in_a_limited_child():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, bound in OVERSIZED:
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", _LIMITED_CHILD, *argv],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert time.perf_counter() - start < 1, argv
+        assert (done.returncode, done.stdout) == (2, ""), (argv, done.stderr[-2000:])
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+        assert "Traceback" not in done.stderr and str(bound) in done.stderr, done.stderr
+    # the closed engine's cost is k's, not a's or a multiplicity's
+    code, text = run(["homotopy", "--engine", "closed", "--rep", "100000000,1,1,1",
+                      "--coeff", "F^100000000"])
+    assert code == 0 and text.endswith("pi_100000003 = F^100000000\n"), text
+    code, text = run(["homotopy", "--engine", "closed", "--rep", f"0,{_MAX_CLOSED_K}"])
+    assert code == 0 and text.endswith(f"pi_{_MAX_CLOSED_K} = F\n"), text
 
 
 def test_chart_svg_out(tmp_path):
