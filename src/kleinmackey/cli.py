@@ -20,8 +20,8 @@ from .reps import RepK, parse_rep
 
 # The largest sphere the oracle engine takes, counted in cells of its complex.
 # At this size a --coeff F query takes several seconds:
-# 35(alpha+beta+gamma), 89531 cells, took 4.5-7.8 s over eight runs and
-# 141 MiB on a 2-core x86-64 host with Python 3.11.
+# 35(alpha+beta+gamma), 89531 cells, took 3.5-4.7 s over eight runs and
+# 160 MiB max RSS, each in a child, on a 2-core x86-64 host with Python 3.11.
 MAX_ORACLE_CELLS = 90000
 
 # The most entries the oracle's largest differential may have, with D the

@@ -10,9 +10,12 @@ The solver enumerates exact cancellation patterns.  Rank tuples of a
 candidate differential are constrained to those realized by actual maps
 between the named source and target functors, which
 mackey.rank_tuples_of_hom computes exactly from the hom space.  The search
-walks the pairs in a fixed order; at each pair it looks up its moves in a
-table keyed by the two cells' budgets, and it chooses differentials by
-their number in sorted order.  Both live for one call only.
+walks the pairs in a fixed order over numbered cells.  A cell's budget (what
+it still has to lose, per level) is one int with a guard bit above each
+level's field, so one subtraction and one mask compare a rank tuple with it
+at every level.  At each pair the search looks up its moves in a table keyed
+by the two cells' budgets, and it chooses differentials by their number in
+sorted order.  Tables and numbers live for one call only.
 """
 
 from __future__ import annotations
@@ -206,14 +209,19 @@ def solve_differentials(chart, cap=20000):
     are more than cap; cap=None lists them all.  ValueError, naming the
     count, for a chart of more than MAX_SOLVE_PAIRS pairs.
 
-    Budgets are tuples.  Each pair fills, on first visit with a given
-    (source budget, target budget), a table of its admissible moves: the
-    candidates chosen (one number, or none for the zero map) and the two
-    budgets after, in the pair's sorted tuple order.  The numbers follow
-    the sorted order of the chart's candidate differentials, so sorting int
-    tuples sorts the patterns; they become Differentials once, on the way
-    out.  The path is a list, not the call stack.  The tables and the
-    numbering are dropped when the call returns.
+    Cells are numbered and their budgets kept in a list.  A budget is one
+    int with a field per level, level 0 lowest, and a guard bit above each
+    field; the fields are as wide as the largest room, which bounds every
+    budget and rank, so no field borrows from the next.  With G the guard
+    bits, ((b | G) - x) & G == G holds iff x <= b at every level; rooms are
+    kept as room | G to test b - x <= room the same way.  Each pair fills,
+    on first visit with a given (source budget, target budget), a table of
+    its admissible moves: the candidates chosen (one number, or none for
+    the zero map) and the two budgets after, in the pair's sorted tuple
+    order.  The numbers follow the sorted order of the chart's candidate
+    differentials, so sorting int tuples sorts the patterns; they become
+    Differentials once, on the way out.  The path is a list, not the call
+    stack.  The tables and the numbering are dropped when the call returns.
     """
     if cap is not None and cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
@@ -221,9 +229,9 @@ def solve_differentials(chart, cap=20000):
     dims = chart.dims()
     entries = sorted(dims)
     want = expected_survivors(chart)
-    budget = {pos: tuple(d - w for d, w in zip(dims[pos], want.get(pos, (0,) * nlev)))
-              for pos in entries}
-    if any(b < 0 for left in budget.values() for b in left):
+    budget = [tuple(d - w for d, w in zip(dims[pos], want.get(pos, (0,) * nlev)))
+              for pos in entries]
+    if any(b < 0 for left in budget for b in left):
         return []
 
     pairs = [(src, tgt) for src in entries for tgt in entries
@@ -233,35 +241,51 @@ def solve_differentials(chart, cap=20000):
                          f"the solver takes at most {MAX_SOLVE_PAIRS}")
     pairs.sort(key=lambda p: (-p[0][0], p[0][1], p[1][1]))
     emap = chart.entry_map()
+    cell = {pos: k for k, pos in enumerate(entries)}
 
-    # room[pos]: per level, the most the pairs not yet passed can still
-    # remove from pos, filled from the last pair back.  A branch whose
-    # budget exceeds the room of a cell its pair touches has no pattern
-    # below it; at a cell's last pair the room is zero, so every leaf
-    # reached has spent every budget exactly.
-    room = {pos: (0,) * nlev for pos in entries}
+    # room[k]: per level, the most the pairs not yet passed can still remove
+    # from cell k, filled from the last pair back.  A branch whose budget
+    # exceeds the room of a cell its pair touches has no pattern below it;
+    # at a cell's last pair the room is zero, so every leaf reached has
+    # spent every budget exactly.
+    room = [(0,) * nlev for _ in entries]
     steps = []
     for src, tgt in reversed(pairs):
+        s, t = cell[src], cell[tgt]
         tuples = sorted(achievable_tuples(emap[src], emap[tgt], chart.group))
-        steps.append((src, tgt, tuples, room[src], room[tgt]))
+        steps.append((src, tgt, tuples, room[s], room[t]))
         top = [max(col) for col in zip(*tuples)]
-        for pos in (src, tgt):
-            room[pos] = tuple(a + b for a, b in zip(room[pos], top))
+        for k in (s, t):
+            room[k] = tuple(a + b for a, b in zip(room[k], top))
     steps.reverse()
     # room is now what all pairs together can remove: a cell they cannot
     # empty, such as one no pair touches, leaves no pattern at all
-    if any(b > r for pos in entries for b, r in zip(budget[pos], room[pos])):
+    if any(b > r for left, most in zip(budget, room) for b, r in zip(left, most)):
         return []
 
     # every nonzero differential the pairs allow, numbered in sorted order,
     # so the search chooses and sorts ints; a move carries its number as a
     # 1-tuple, the zero map's as ()
-    cands = sorted(Differential(tgt[1] - src[1], src, tgt, ranks)
+    cands = sorted((tgt[1] - src[1], src, tgt, ranks)
                    for src, tgt, tuples, _, _ in steps for ranks in tuples
                    if any(ranks))
-    number = {(d.src, d.tgt, d.ranks): (k,) for k, d in enumerate(cands)}
-    steps = [(src, tgt, [(number.get((src, tgt, ranks), ()), ranks) for ranks in tuples],
-              room_s, room_t, {})
+    number = {c[1:]: (k,) for k, c in enumerate(cands)}
+    cands = [Differential(*c) for c in cands]
+
+    # the largest room bounds every budget (checked above) and every rank
+    width = max((x for most in room for x in most), default=0).bit_length() + 1
+
+    def pack(values):
+        packed = 0
+        for x in reversed(values):
+            packed = packed << width | x
+        return packed
+
+    guard = pack([1 << (width - 1)] * nlev)
+    budget = [pack(left) for left in budget]
+    steps = [(cell[src], cell[tgt],
+              [(number.get((src, tgt, ranks), ()), pack(ranks)) for ranks in tuples],
+              pack(room_s) | guard, pack(room_t) | guard, {})
              for src, tgt, tuples, room_s, room_t in steps]
 
     # path: one entry per step entered, with its untried moves, its two
@@ -269,19 +293,18 @@ def solve_differentials(chart, cap=20000):
     patterns, chosen, path = [], [], []
     while True:
         if len(path) < len(steps):
-            src, tgt, options, room_s, room_t, table = steps[len(path)]
-            bs, bt = budget[src], budget[tgt]
+            s, t, options, room_s, room_t, table = steps[len(path)]
+            bs, bt = budget[s], budget[t]
             moves = table.get((bs, bt))
             if moves is None:
-                # ranks fit both budgets and leave each no more than its room
-                hi = [min(a, b) for a, b in zip(bs, bt)]
-                lo = [max(a - c, b - d) for a, c, b, d in zip(bs, room_s, bt, room_t)]
+                # ranks fit both budgets and leave each no more than its
+                # room; the last two checks are exact once the first two hold
+                gs, gt, ls, lt = bs | guard, bt | guard, room_s - bs, room_t - bt
                 moves = table[bs, bt] = [
-                    (picks, tuple(a - x for a, x in zip(bs, ranks)),
-                     tuple(b - x for b, x in zip(bt, ranks)))
-                    for picks, ranks in options
-                    if all(low <= x <= high for low, x, high in zip(lo, ranks, hi))]
-            path.append((iter(moves), src, tgt, bs, bt, len(chosen)))
+                    (picks, bs - x, bt - x) for picks, x in options
+                    if (gs - x) & guard == guard and (gt - x) & guard == guard
+                    and (ls + x) & guard == guard and (lt + x) & guard == guard]
+            path.append((iter(moves), s, t, bs, bt, len(chosen)))
         elif len(patterns) == cap:
             raise PatternCapExceeded([tuple(cands[k] for k in p)
                                       for p in sorted(patterns)])
@@ -289,12 +312,12 @@ def solve_differentials(chart, cap=20000):
             patterns.append(tuple(sorted(chosen)))
         # back up to the deepest step with an untried move, and take it
         while path and (move := next(path[-1][0], None)) is None:
-            _, src, tgt, bs, bt, _ = path.pop()
-            budget[src], budget[tgt] = bs, bt
+            _, s, t, bs, bt, _ = path.pop()
+            budget[s], budget[t] = bs, bt
         if not path:
             break
-        _, src, tgt, _, _, mark = path[-1]
-        picks, budget[src], budget[tgt] = move
+        _, s, t, _, _, mark = path[-1]
+        picks, budget[s], budget[t] = move
         chosen[mark:] = picks
     return [tuple(cands[k] for k in p) for p in sorted(patterns)]
 

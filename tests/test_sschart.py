@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -261,6 +262,49 @@ def test_solver_capped_prefix_matches_reference(n):
     assert found[0] == found[1] and len(found[0]) == 50
     for diffs in found[0]:
         assert ss.check_convergence(chart, diffs)["pass"], diffs
+
+
+# sha256 of repr((group, n, cap, outcome)) for every case below, in order;
+# the outcome is ("ok", patterns) or ("cap", exc.patterns, str(exc))
+SOLVER_SHA256 = "334269d02d4a94ba1144181fffc027b791508ed9373932b7b84f83cc332f69f6"
+
+
+def test_solver_output_is_pinned():
+    digest = hashlib.sha256()
+    for group, top in (("K", 24), ("C2", 30)):
+        for n in range(top + 1):
+            chart = ss.build_E1(n, group)
+            for cap in ([None] if n <= 12 else []) + [0, 1, 50, 200]:
+                try:
+                    outcome = ("ok", ss.solve_differentials(chart, cap=cap))
+                except ss.PatternCapExceeded as exc:
+                    outcome = ("cap", exc.patterns, str(exc))
+                digest.update(repr((group, n, cap, outcome)).encode())
+    assert digest.hexdigest() == SOLVER_SHA256
+
+
+def _hand_chart(cells):
+    """A K chart of the given {(t, i): {atom: mult}} cells, F surviving at (0, 0)."""
+    cells = {(0, 0): {"F": 1}, **cells}
+    return ss.Chart("K", 0, tuple(sorted(
+        (pos, tuple(sorted(expr.items()))) for pos, expr in cells.items())))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 7, 8])
+def test_solver_budgets_at_a_power_of_two(m):
+    # each chart's largest budget, m, is also its largest room, so the
+    # budgets fill their fields exactly at m = 2^k - 1 and need one more
+    # bit at m = 2^k; the fan's is at level K (the lowest field), the
+    # funnel's at level e (the highest)
+    fan = _hand_chart({(2, 1): {"g": m}, (1, 2): {"g": m - 1}, (1, 3): {"g": 1}})
+    funnel = _hand_chart({**{(2, i): {"f": 1} for i in range(1, m + 1)},
+                          (1, m + 1): {"f": m}})
+    for chart in (fan, funnel):
+        assert max(max(d) for d in chart.dims().values()) == m
+        patterns = ss.solve_differentials(chart)
+        assert patterns == _reference_solve(chart)
+        assert len(patterns) == 1
+        assert ss.check_convergence(chart, patterns[0])["pass"]
 
 
 def test_convergence_pass_and_fail():
