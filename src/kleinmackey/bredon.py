@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .f2 import BitMatrix, homology_reps
-from .groups import char_twist, group_by_name
+from .groups import group_by_name
 from .laurent import LaurentPoly
 from .mackey import Mackey, catalog
 
@@ -100,7 +100,7 @@ def character_sphere(char, n, group="K"):
     gd = group_by_name(group)
     top = gd.levels[0]
     ker = gd.char_kernels[char]
-    t = char_twist(gd, char)
+    t = min(g for g in gd.elements if g not in gd.subgroups[ker])
     cells = {0: [Cell(0, top)]}
     entries = {1: {(0, 0, "up", 0)}}
     for j in range(1, n + 1):

@@ -13,6 +13,7 @@ import sys
 from . import bredon, hk, sschart, verify
 from . import slices as slc
 from .groups import group_by_name
+from .laurent import LaurentPoly, geom
 from .mackey import (_MAX_MAP_ENTRIES, _checked_dims, catalog, expr_dims,
                      format_name_expr, identify, mackey_from_json, parse_name_expr)
 from .reps import RepK, parse_rep
@@ -73,15 +74,12 @@ def _oracle_entries(v, dims):
     """The size _MAX_ORACLE_ENTRIES bounds, computed without the complex: the
     bottom level's cells per degree are the coefficients of the product, over
     the characters, of 1 + 2(x^s + ... + x^(|n|s)), s the sign of n."""
-    cells = [1]
+    cells = LaurentPoly.one()
     for n in v.coeffs()[1:]:
-        factor = [1] + [2] * n if n >= 0 else [2] * -n + [1]
-        product = [0] * (len(cells) + len(factor) - 1)
-        for i, x in enumerate(cells):
-            for j, y in enumerate(factor):
-                product[i + j] += x * y
-        cells = product
-    return max(dims) ** 2 * max((x * y for x, y in zip(cells, cells[1:])), default=0)
+        twos = geom(1, n) if n >= 0 else geom(n, -1)
+        cells = cells * (LaurentPoly.one() + twos + twos)
+    count = cells.as_dict()
+    return max(dims) ** 2 * max(c * count.get(e - 1, 0) for e, c in count.items())
 
 
 def _check_oracle_cells(v, coeff, what):

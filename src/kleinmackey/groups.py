@@ -100,11 +100,3 @@ def group_by_name(name):
         return C2
     raise ValueError(f"unknown group {name!r}")
 
-
-def char_twist(group, char):
-    """Some element on which the character is nonzero."""
-    ker = group.subgroups[group.char_kernels[char]]
-    for g in group.elements:
-        if g not in ker:
-            return g
-    raise ValueError("trivial character")

@@ -75,12 +75,7 @@ def poincare_K(v: RepK):
 def poincare_C2(v: RepC2):
     """Level series over C2: fixed points and underlying, as a dict."""
     b = v.b
-    if b >= 0:
-        top = geom(0, b)
-    elif b == -1:
-        top = LaurentPoly.zero()
-    else:
-        top = geom(b, -2)
+    top = geom(0, b) if b >= 0 else geom(b, -2)
     return {"C2": top.shift(v.a), "e": LaurentPoly.monomial(v.dim)}
 
 

@@ -77,5 +77,5 @@ class LaurentPoly:
 def geom(a, b):
     """x^a + x^(a+1) + ... + x^b, the zero polynomial when b < a."""
     if b < a:
-        return LaurentPoly(())
+        return LaurentPoly.zero()
     return LaurentPoly(tuple((e, 1) for e in range(a, b + 1)))

@@ -5,12 +5,13 @@ and a transfer matrix per lattice edge.  All group actions are trivial, so
 the double coset rule collapses to concrete matrix identities that
 check_axioms verifies.  One catalog holds the named functors of both
 groups, one table per group keyed by its name, and catalog(name, group)
-reads it; identify() writes an arbitrary functor as a sum of catalog names
-by an exact solve in additive rank invariants, whose values on the atoms
-are independent, so that the sum, when there is one, is unique.  hom_space
-gives a basis of the maps between two functors, rank_tuples_of_hom the
-exact set of their levelwise ranks, and is_isomorphic an exact isomorphism
-test.
+reads it.  The zero functor has no entry: "0" names the empty sum, as does
+any term with multiplicity 0.  identify() writes an arbitrary functor as a
+sum of catalog names by an exact solve in additive rank invariants, whose
+values on the atoms are independent, so that the sum, when there is one, is
+unique.  hom_space gives a basis of the maps between two functors,
+rank_tuples_of_hom the exact set of their levelwise ranks, and
+is_isomorphic an exact isomorphism test.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ def _c2_table():
     F = build_mackey("C2", (1, 1), res={("C2", "e"): [[1]]})
     f = build_mackey("C2", (0, 1))
     g = build_mackey("C2", (1, 0))
-    return {"F": F, "F*": dual(F), "f": f, "g": g, "0": zero_mackey("C2")}
+    return {"F": F, "F*": dual(F), "f": f, "g": g}
 
 
 _C2 = _c2_table()
@@ -253,7 +254,6 @@ def _k_table():
         "w": w, "w*": dual(w),
         "mg": mg, "mg*": dual(mg),
         "W": W, "W*": dual(W),
-        "0": zero_mackey("K"),
     }
     for h in ("L", "D", "R"):
         for c2name in ("F", "F*", "f"):
@@ -264,14 +264,14 @@ def _k_table():
 _K = _k_table()
 _TABLES = {"K": _K, "C2": _C2}
 
-CATALOG_ATOMS = tuple(n for n in _K if n != "0")
+CATALOG_ATOMS = tuple(_K)
 
 
 def _dual_names():
     """The dual of every catalog atom of either group, by exact matrix equality."""
     names = {}
     for table in _TABLES.values():
-        atoms = {m: name for name, m in table.items() if name != "0"}
+        atoms = {m: name for name, m in table.items()}
         names.update((name, atoms[dual(m)]) for m, name in atoms.items())
     return names
 
@@ -307,18 +307,18 @@ def parse_name_expr(text, group="K"):
         expanded = _expand_atom(base, group)
         for atom in expanded:
             counts[atom] = counts.get(atom, 0) + power
-    return tuple(sorted(counts.items()))
+    return tuple(sorted((atom, mult) for atom, mult in counts.items() if mult))
 
 
 def _expand_atom(base, group):
-    m = re.match(r"^phi(L|D|R|LD|LDR)\((F\*|F|f|g)\)$", base)
+    m = re.match(r"^phi(L|D|R|LDR)\((F\*|F|f|g)\)$", base)
     if m and group == "K":
         parts, inner = m.groups()
         if inner == "g":
             # inflating the C2 geometric functor just gives g again
             return ["g"] * len(parts)
         return [f"phi{h}({inner})" for h in parts]
-    if base in _TABLES[group] and base != "0":
+    if base in _TABLES[group]:
         return [base]
     raise ValueError(f"unknown {group} catalog name {base!r}")
 

@@ -95,8 +95,6 @@ def slice_bounds_K(n):
 
 def slice_K(n, i):
     """The i-slice of the n-fold Klein suspension, in theorem-normal form."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     lo, hi = slice_bounds_K(n)
     if i < lo or i > hi:
         return SliceCell("K", i, trivial=True)

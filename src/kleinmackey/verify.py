@@ -15,7 +15,7 @@ from . import bredon, hk, sschart
 from . import slices as slc
 from .mackey import (CATALOG_ATOMS, catalog, check_axioms, dual, direct_sum,
                      expr_dims, expr_to_mackey, fingerprint, format_name_expr,
-                     identify, mackey_from_json, parse_name_expr)
+                     identify, is_isomorphic, mackey_from_json, parse_name_expr)
 from .reps import RepC2, RepK, RHO_K
 
 
@@ -143,19 +143,18 @@ def suite_figure1():
 
 
 def suite_twistings():
-    """The rho-desuspension and the two m-family twisting equivalences."""
+    """Each Klein rule of slices._UNTWIST, S^rho HM = S^shift HN, checked on
+    the oracle: the same degrees, and an isomorphism at each."""
     rep = Report("twistings")
-    cases = [
-        ("S^-rho HF = S^-4 HF*", -RHO_K, "F", RepK(-4, 0, 0, 0), "F*"),
-        ("S^-rho Hm = S^-2 Hmg*", -RHO_K, "m", RepK(-2, 0, 0, 0), "mg*"),
-        ("S^rho Hm* = S^2 Hmg", RHO_K, "m*", RepK(2, 0, 0, 0), "mg"),
-    ]
-    for label, v1, c1, v2, c2 in cases:
+    for (group, atom), (shift, base) in slc._UNTWIST.items():
+        if group != "K":
+            continue
         rep.checked += 1
-        lhs = {n: fingerprint(m) for n, m in bredon.homotopy(v1, c1).items()}
-        rhs = {n: fingerprint(m) for n, m in bredon.homotopy(v2, c2).items()}
-        if lhs != rhs:
-            rep.fail(f"{label}: fingerprints differ")
+        lhs = bredon.homotopy(RHO_K, atom)
+        rhs = bredon.homotopy(RepK(shift, 0, 0, 0), base)
+        if lhs.keys() != rhs.keys() or \
+                not all(is_isomorphic(m, rhs[n]) for n, m in lhs.items()):
+            rep.fail(f"S^rho H{atom} != S^{shift} H{base}")
     return rep
 
 

@@ -7,10 +7,13 @@ import subprocess
 import sys
 import time
 
+from hypothesis import given, settings, strategies as st
+
 from kleinmackey import bredon, hk, mackey, slices, sschart, verify
 from kleinmackey.cli import (_MAX_CLOSED_K, _MAX_ORACLE_ENTRIES, _MAX_POINCARE_TERMS,
                             MAX_CHART_N, MAX_ORACLE_CELLS, MAX_TOWER_N, _oracle_entries,
                             _poincare_terms, main, oracle_cell_count)
+from kleinmackey.mackey import CATALOG_ATOMS
 from kleinmackey.reps import RepC2, RepK
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -116,6 +119,14 @@ def test_mackey_c2_name_expression(capsys):
     assert run(["mackey", "--group", "C2", "--name", "F + W"]) == (2, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_mackey_refuses_a_pair_of_inflations(capsys):
+    # phiLD(F) is no name display_terms prints, so it reads as no name at all
+    assert run(["mackey", "--name", "phiLD(F)"]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert run(["mackey", "--name", "phiLDR(F*)"])[0] == 0
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -345,12 +356,18 @@ def test_oracle_size_bound_keeps_the_known_queries():
 
 # Runs the CLI in a child that first lowers its own address space to 1.5 GB,
 # so an unbounded request fails there with MemoryError, not on the host.
-_LIMITED_CHILD = """
+_LIMITED = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1500 * 2**20, 1500 * 2**20))
 from kleinmackey.cli import main
-sys.exit(main(sys.argv[1:]))
 """
+_LIMITED_CHILD = _LIMITED + "sys.exit(main(sys.argv[1:]))\n"
+
+
+def _child_env():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 # Each of these ran for seconds, raised MemoryError or lost sys.stderr
 # without its bound, under the same limit.
@@ -371,9 +388,7 @@ OVERSIZED = [
 
 
 def test_oversized_requests_exit_2_in_a_limited_child():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     for argv, bound in OVERSIZED:
         start = time.perf_counter()
         done = subprocess.run([sys.executable, "-c", _LIMITED_CHILD, *argv],
@@ -388,6 +403,142 @@ def test_oversized_requests_exit_2_in_a_limited_child():
     assert code == 0 and text.endswith("pi_100000003 = F^100000000\n"), text
     code, text = run(["homotopy", "--engine", "closed", "--rep", f"0,{_MAX_CLOSED_K}"])
     assert code == 0 and text.endswith(f"pi_{_MAX_CLOSED_K} = F\n"), text
+
+
+# Calls main once per argv of a JSON list, in the same limited child, and
+# prints [exit code or None, stdout length, stderr or the traceback, seconds]
+# for each.
+_FUZZ_CHILD = _LIMITED + """
+import contextlib, io, json, time, traceback
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv, out=out)
+    except BaseException:
+        code, err = None, io.StringIO(traceback.format_exc())
+    results.append([code, len(out.getvalue()), err.getvalue(), time.perf_counter() - start])
+print(json.dumps(results))
+"""
+
+
+def _sized(*ranges):
+    """An integer from one of the ranges, each given as (low, high)."""
+    return st.one_of(*(st.integers(lo, hi) for lo, hi in ranges))
+
+
+# A size is small, so that the query answers in well under a second, or past
+# a bound, so that it is refused.  A Klein twist with |b|, |c|, |d| >= 45 is
+# past the oracle's cell bound, and one past 10^6 is also past poincare's and
+# the closed engine's; each range keeps clear of the sizes just under a bound,
+# which take seconds by design.
+_SMALL, _MID, _FAR = (0, 2), (45, 200), (10**6 + 1, 10**12)
+_NEGATIVE = (-10**12, -1)
+
+
+def _text(alphabet, max_size):
+    """Random text with each run of digits cut to its first digit, so that
+    every number in it is far below every bound."""
+    return st.text(alphabet, max_size=max_size).map(lambda t: re.sub(r"(\d)\d+", r"\1", t))
+
+
+def _signed(size):
+    return st.builds(lambda x, s: x * s, st.integers(*size), st.sampled_from([1, -1]))
+
+
+@st.composite
+def _rep_of_size(draw, size):
+    a = draw(st.integers(-4, 4))
+    if draw(st.booleans()):            # a + k rho, the closed engine's twists
+        k = draw(_signed(size))
+        return draw(st.sampled_from([f"{a + k},{k}", f"{a + k},{k},{k},{k}"]))
+    others = draw(st.lists(_signed(size), min_size=1, max_size=3).filter(
+        lambda xs: len(xs) != 2))
+    return ",".join(map(str, (a, *others)))
+
+
+_rep = st.one_of(_text("0123456789,+-abgx \n", 10), _rep_of_size(_SMALL),
+                 _rep_of_size(_MID) | _rep_of_size(_FAR))
+
+
+_ATOMS = CATALOG_ATOMS + ("phiLDR(F)", "phiLDR(g)", "phiLD(F)", "0", "nope", "")
+_term = st.builds(lambda atom, power: atom if power is None else f"{atom}^{power}",
+                  st.sampled_from(_ATOMS), st.none() | _sized((0, 3), (50001, 10**9)))
+_sums = st.lists(_term, min_size=1, max_size=3).map(" + ".join)
+_catalog_sums = st.lists(st.sampled_from(CATALOG_ATOMS), min_size=1, max_size=3).map(" + ".join)
+_coeff_text = _text("FfgmWw*^()+phiLDR0123 ", 12)
+
+
+def _flag(name, values):
+    """[] or [--name=value]; the = form keeps a value that starts with "-"."""
+    return st.just([]) | values.map(lambda v: [f"--{name}={v}"])
+
+
+def _args(*parts):
+    return st.tuples(*parts).map(lambda lists: [a for part in lists for a in part])
+
+
+_FILES = st.sampled_from(["no-such-file.json", ".", README])
+_SWEEPS = ("--suite=axioms", "--suite=duality", "--suite=hk-oracle")
+_N = _sized(_SMALL, (3, 16), (1001, 10**12), _NEGATIVE)
+_FORMATS = st.sampled_from(["text", "json"])
+_ARGV = st.one_of(
+    _args(st.just(["poincare"]), _rep.map(lambda r: [f"--rep={r}"]),
+          _flag("level", st.sampled_from(["K", "L", "e", "C2", "all"])),
+          _flag("format", _FORMATS)),
+    _args(st.just(["homotopy"]), _rep.map(lambda r: [f"--rep={r}"]),
+          _flag("coeff", _sums | _coeff_text),
+          _flag("engine", st.sampled_from(["oracle", "closed"])),
+          _flag("level", st.sampled_from(["all", "K", "D", "C2", "e"])),
+          _flag("format", _FORMATS)),
+    # small Klein twists with catalog sums, which the oracle answers
+    _args(st.just(["homotopy"]), st.tuples(st.integers(-4, 4), *[st.integers(*_SMALL)] * 3)
+          .map(lambda v: [f"--rep={','.join(map(str, v))}"]),
+          _flag("coeff", _catalog_sums),
+          _flag("level", st.sampled_from(["all", "K", "D", "e"])), _flag("format", _FORMATS)),
+    _args(st.just(["slice"]), _flag("group", st.sampled_from(["K", "C2"])),
+          _N.map(lambda n: [f"--n={n}"]),
+          _sized((-5, 80), (10**6, 10**12)).map(lambda i: [f"--i={i}"]),
+          _flag("format", _FORMATS)),
+    _args(st.just(["tower"]), _N.map(lambda n: [f"--n={n}"]),
+          _flag("format", st.sampled_from(["text", "json", "svg"]))),
+    _args(st.just(["chart"]), _N.map(lambda n: [f"--n={n}"]),
+          _flag("group", st.sampled_from(["K", "C2"])),
+          _flag("format", st.sampled_from(["text", "json", "svg"])),
+          st.sampled_from([[], ["--solve"]]), _flag("cap", _sized((0, 5), _NEGATIVE))),
+    # past the solver's pair bound, K n <= 32
+    _args(st.just(["chart", "--solve"]), st.integers(33, 40).map(lambda n: [f"--n={n}"])),
+    _args(st.just(["mackey"]), st.one_of(
+        (_catalog_sums | _sums | _coeff_text).map(lambda c: [f"--name={c}"]),
+        _FILES.map(lambda f: [f"--file={f}"])),
+          _flag("group", st.sampled_from(["K", "C2"])),
+          st.sampled_from([[], ["--show"], ["--json"]])),
+    # every suite, but not the default sweeps of the three that take a file
+    # or a box, which run for seconds
+    _args(st.just(["verify"]), st.sampled_from(sorted(verify.SUITES)).map(
+        lambda suite: [f"--suite={suite}"]),
+          st.one_of(st.just([]), _flag("box", _sized((0, 1), (36, 10**12), _NEGATIVE)),
+                    _flag("file", _FILES))
+          ).filter(lambda argv: argv[1] not in _SWEEPS or len(argv) > 2),
+)
+
+
+@given(st.lists(_ARGV, min_size=20, max_size=40))
+@settings(max_examples=12, derandomize=True, deadline=None)
+def test_fuzzed_requests_answer_fast_or_exit_2(batch):
+    # the exit-code contract over the CLI grammar: an answer, or one error
+    # line; never a traceback, a verification failure or a slow answer
+    done = subprocess.run([sys.executable, "-c", _FUZZ_CHILD, json.dumps(batch)],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert done.returncode == 0, done.stderr[-3000:]
+    for argv, (code, out_len, err, seconds) in zip(batch, json.loads(done.stdout)):
+        assert code in (0, 2) and "Traceback" not in err, (argv, code, err[-3000:])
+        if code == 2:
+            assert out_len == 0, argv
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert seconds < 1, (argv, seconds)
 
 
 def test_chart_svg_out(tmp_path):

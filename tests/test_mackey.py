@@ -46,6 +46,29 @@ def test_unknown_name():
             catalog(name, "C2")
 
 
+def test_zero_has_one_representation():
+    # "0", "" and any zero multiplicity parse to the empty sum, which is the
+    # zero functor; no table carries a "0" pseudo-atom
+    for text in ("0", "", "F^0"):
+        assert parse_name_expr(text) == (), text
+    assert parse_name_expr("F^0 + g") == (("g", 1),)
+    for group in ("K", "C2"):
+        assert catalog("0", group) == zero_mackey(group)
+        assert "0" not in mk._TABLES[group]
+    assert "0" not in CATALOG_ATOMS and "0" not in DUAL_NAMES
+
+
+def test_name_grammar_reads_the_displayed_names():
+    # phi takes one cyclic subgroup or all three, the spellings display_terms
+    # prints; a pair such as LD or LR is no name
+    for name in ("phiLD(F)", "phiLR(F)", "phiDR(f)"):
+        with pytest.raises(ValueError, match="unknown K catalog name"):
+            parse_name_expr(name)
+    assert parse_name_expr("phiL(F)") == (("phiL(F)", 1),)
+    assert format_name_expr(parse_name_expr("phiLDR(F*)")) == "phiLDR(F*)"
+    assert parse_name_expr("phiLDR(g)") == (("g", 3),)
+
+
 def test_axioms_all_catalog():
     for name in CATALOG_ATOMS:
         assert check_axioms(catalog(name)) == [], name

@@ -1,6 +1,7 @@
 import pytest
 
 from kleinmackey import slices as sl
+from kleinmackey import verify
 from kleinmackey.verify import oracle_homotopy
 from kleinmackey.mackey import catalog, format_name_expr, parse_name_expr
 from kleinmackey.reps import RepC2, RepK
@@ -229,6 +230,17 @@ def test_mstar_and_mgstar_twisted_tables_match_oracle():
             v = RepK(k, k, k, k)
             formula = sl.graded_homotopy(0, k, parse_name_expr(coeff))
             assert formula == oracle_homotopy(v, parse_name_expr(coeff)), (coeff, k)
+
+
+@pytest.mark.parametrize("rule, wrong", [(("K", "F*"), (3, "F")),
+                                         (("K", "mg*"), (2, "mg"))])
+def test_twistings_suite_checks_the_untwisting_table(monkeypatch, rule, wrong):
+    # the suite reads the rules the closed forms apply, so a wrong shift or
+    # a swapped atom in the table fails it
+    assert verify.suite_twistings().passed
+    monkeypatch.setitem(sl._UNTWIST, rule, wrong)
+    rep = verify.suite_twistings()
+    assert not rep.passed and rep.checked == 3, rep.summary()
 
 
 # the w and W family is derived from its neighbours, so it gets the wider range
