@@ -162,6 +162,8 @@ def cmd_homotopy(args, out):
             row["dim"] = dims[index]
     if args.format == "json":
         _emit(out, json.dumps(rows, indent=2, sort_keys=True))
+    elif not rows:
+        _emit(out, "pi_* = 0" if args.level == "all" else f"pi_*({args.level}) = 0")
     else:
         for row in rows:
             if "dim" in row:
@@ -295,8 +297,18 @@ def cmd_verify(args, out):
     return 0 if report.passed else 1
 
 
+def _usage_error(parser, message):
+    raise ValueError(message)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through add_subparsers each subparser, whose usage
+    errors reach main's one error: line instead of printing the usage."""
+    error = _usage_error
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="kleinmackey",
         description="Mackey functor calculus over C2 and the Klein four-group")
     sub = p.add_subparsers(dest="command", required=True)
@@ -391,13 +403,11 @@ def build_parser():
 
 def main(argv=None, out=None):
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args, out)
+    except SystemExit as exc:          # --help, after printing the help
+        return exc.code or 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -49,13 +49,8 @@ class SliceCell:
         return f"{pretty_susp(self.susp)} H{pretty_coeff(self.coeff)}"
 
 
-_GLYPHS = {
-    "phiL(F)": "φ*_L F", "phiD(F)": "φ*_D F", "phiR(F)": "φ*_R F",
-    "phiL(F*)": "φ*_L F*", "phiD(F*)": "φ*_D F*", "phiR(F*)": "φ*_R F*",
-    "phiL(f)": "φ*_L f", "phiD(f)": "φ*_D f", "phiR(f)": "φ*_R f",
-    "phiLDR(F)": "φ*_{LDR}F", "phiLDR(F*)": "φ*_{LDR}F*",
-    "phiLDR(f)": "φ*_{LDR}f",
-}
+_GLYPHS = {f"phi{h}({x})": f"φ*_{h} {x}" if len(h) == 1 else f"φ*_{{{h}}}{x}"
+           for h in ("L", "D", "R", "LDR") for x in ("F", "F*", "f")}
 
 
 def pretty_coeff(expr):

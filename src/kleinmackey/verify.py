@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 from . import bredon, hk, sschart
 from . import slices as slc
-from .mackey import (CATALOG_ATOMS, catalog, check_axioms, dual, direct_sum,
+from .mackey import (_TABLES, CATALOG_ATOMS, catalog, check_axioms, dual, direct_sum,
                      expr_dims, expr_to_mackey, fingerprint, format_name_expr,
-                     identify, is_isomorphic, mackey_from_json, parse_name_expr)
+                     identify, is_isomorphic, mackey_from_json)
 from .reps import RepC2, RepK, RHO_K
 
 
@@ -186,28 +186,28 @@ def oracle_homotopy(v, coeff):
     return out
 
 
+# every catalog atom of both groups at a + k rho: |k| <= 3 over K, 6 for the
+# atoms slices._SES derives from a neighbour, and 4 over C2
+_CLOSED_GRID = [(group, atom, k) for group, table in _TABLES.items() for atom in table
+                for r in [4 if group == "C2" else 6 if atom in slc._SES else 3]
+                for k in range(-r, r + 1)]
+
+
 def suite_slice_homotopy():
-    """Graded homotopy tables of the slice building blocks versus the oracle, k <= 3."""
+    """Closed homotopy tables versus the oracle at a + k rho, over _CLOSED_GRID, |a| <= 1."""
     rep = Report("slice-homotopy")
-    cases = []
-    for k in range(1, 4):
-        cases.append((RepK(k, k, k, k), "F"))
-        cases.append((RepK(-k, -k, -k, -k), "F*"))
-        cases.append((RepK(k, k, k, k), "f"))
-        cases.append((RepK(k, k, k, k), "m"))
-        cases.append((RepK(k, k, k, k), "mg"))
-        cases.append((RepK(k + 1, k, k, k), "phiLDR(f)"))
-    for v, coeff in cases:
-        rep.checked += 1
-        expr = parse_name_expr(coeff)
-        try:
-            formula = slc.graded_homotopy(v.a - v.b, v.b, expr)
-            oracle = oracle_homotopy(v, expr)
-        except ValueError as exc:
-            rep.fail(f"{coeff} at {v.coeffs()}: {exc}")
-            continue
-        if formula != oracle:
-            rep.fail(f"{coeff} at {v.coeffs()}: table {formula} != oracle {oracle}")
+    for group, atom, k in _CLOSED_GRID:
+        for a in (-1, 0, 1):
+            rep.checked += 1
+            v = RepK(a + k, k, k, k) if group == "K" else RepC2(a + k, k)
+            try:
+                formula = slc.graded_homotopy(a, k, ((atom, 1),), group)
+                oracle = oracle_homotopy(v, ((atom, 1),))
+            except ValueError as exc:
+                rep.fail(f"{atom} at {v.coeffs()}: {exc}")
+                continue
+            if formula != oracle:
+                rep.fail(f"{atom} at {v.coeffs()}: table {formula} != oracle {oracle}")
     return rep
 
 

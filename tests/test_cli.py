@@ -130,10 +130,14 @@ def test_mackey_refuses_a_pair_of_inflations(capsys):
 
 
 def test_usage_errors(tmp_path, capsys):
-    assert run(["slice", "--group", "K", "--n", "8"])[0] == 2       # missing --i
-    assert run(["poincare", "--rep", "x"])[0] == 2                  # parse error
-    assert run(["nonsense"])[0] == 2
-    capsys.readouterr()
+    # argparse's own errors print one error: line too, not the usage text
+    for argv in (["slice", "--group", "K", "--n", "8"],                # missing --i
+                 ["nonsense"], ["slice", "--n", "x", "--i", "1"],
+                 ["homotopy", "--rep", "1,1,1,1", "--engine", "bogus"],
+                 ["poincare", "--rep", "-1,0,0,0"], ["poincare", "--rep", "x"]):
+        assert run(argv) == (2, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     # a C2 tuple reads through the same parser as a Klein one, and so fails alike
     for rep in ("1,a", "1,2,a,4"):
         assert run(["poincare", "--rep", rep]) == (2, "")
@@ -193,6 +197,16 @@ def test_usage_errors(tmp_path, capsys):
         assert run(["verify", "--suite"] + argv) == (2, ""), argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_homotopy_says_when_the_answer_is_zero():
+    # text names the zero answer; JSON lists no degree
+    for engine in ("oracle", "closed"):
+        for coeff in ("0", "F^0"):
+            argv = ["homotopy", "--engine", engine, "--rep", "1,1,1,1", "--coeff", coeff]
+            assert run(argv) == (0, "pi_* = 0\n"), argv
+            assert run(argv + ["--level", "D"]) == (0, "pi_*(D) = 0\n"), argv
+            assert run(argv + ["--format", "json"]) == (0, "[]\n"), argv
 
 
 def test_rep_starting_with_a_sign_takes_the_equals_form(capsys):
@@ -481,7 +495,7 @@ def _args(*parts):
 
 
 _FILES = st.sampled_from(["no-such-file.json", ".", README])
-_SWEEPS = ("--suite=axioms", "--suite=duality", "--suite=hk-oracle")
+_SWEEPS = ("--suite=axioms", "--suite=duality", "--suite=hk-oracle", "--suite=slice-homotopy")
 _N = _sized(_SMALL, (3, 16), (1001, 10**12), _NEGATIVE)
 _FORMATS = st.sampled_from(["text", "json"])
 _ARGV = st.one_of(
@@ -516,12 +530,18 @@ _ARGV = st.one_of(
           _flag("group", st.sampled_from(["K", "C2"])),
           st.sampled_from([[], ["--show"], ["--json"]])),
     # every suite, but not the default sweeps of the three that take a file
-    # or a box, which run for seconds
+    # or a box and of slice-homotopy, which run for a second or more
     _args(st.just(["verify"]), st.sampled_from(sorted(verify.SUITES)).map(
         lambda suite: [f"--suite={suite}"]),
           st.one_of(st.just([]), _flag("box", _sized((0, 1), (36, 10**12), _NEGATIVE)),
                     _flag("file", _FILES))
           ).filter(lambda argv: argv[1] not in _SWEEPS or len(argv) > 2),
+    # usage errors, which argparse finds: an unknown subcommand or option, a
+    # required option left out, or a value of the wrong type or choice
+    _args(st.sampled_from([[], ["nope"], ["poincare"], ["homotopy"], ["slice"], ["tower"],
+                           ["chart"], ["mackey"], ["verify"]]),
+          st.sampled_from([["--bogus"], ["--n=x"], ["--i=1.5"], ["--format=x"],
+                           ["--level=Q"], ["--rep", "-1,0,0,0"], ["--cap"]])),
 )
 
 

@@ -366,8 +366,9 @@ NEVER_ENTERED = {
 
 # CLI traffic: the README console blocks, the criterion-10 invocations, the
 # input paths (--file, a failing axioms check, C2, the closed engine, the
-# solver) and every suite but the full axioms sweep, at box 1 where a suite
-# takes a box.  "{functor}" and "{broken}" name JSON files the test writes.
+# solver, a usage error) and every suite but the full axioms sweep, at box 1
+# where a suite takes a box.  "{functor}" and "{broken}" name JSON files the
+# test writes.
 TRAFFIC = [
     ["poincare", "--rep", "0,1,1,1"],
     ["poincare", "--rep", "0,3,-2,-2", "--level", "all"],
@@ -378,6 +379,7 @@ TRAFFIC = [
     ["homotopy", "--rep", "1,1,1,1", "--engine", "closed"],
     ["slice", "--group", "K", "--n", "8", "--i", "12"],
     ["slice", "--group", "C2", "--n", "5", "--i", "6", "--format", "json"],
+    ["slice", "--n", "8"],
     ["tower", "--n", "5"],
     ["tower", "--n", "9", "--format", "json"],
     ["tower", "--n", "9", "--format", "svg"],
@@ -451,8 +453,10 @@ def never_entered(tmp_path):
                           capture_output=True, text=True, timeout=300, env=env)
     assert done.returncode == 0, done.stderr[-3000:]
     result = json.loads(done.stdout)
-    # every invocation succeeds but the broken functor's, which fails its check
-    assert result["codes"] == [1 if "{broken}" in argv else 0 for argv in TRAFFIC]
+    # every invocation succeeds but the broken functor's, which fails its
+    # check, and the slice without --i, a usage error
+    assert result["codes"] == [1 if "{broken}" in argv else 2 if argv == ["slice", "--n", "8"]
+                               else 0 for argv in TRAFFIC]
     entered = {tuple(key) for key in result["entered"]}
     return {name for key, name in _package_functions().items() if key not in entered}
 
