@@ -5,7 +5,9 @@ Hashes repr(obj).encode() for this sequence of objects.  For each K
 representation (0, b, c, d), in itertools.product order over b, c, d in
 [-3, 3], and then each C2 representation (0, b), b in [-6, 6]:
 
-- the cells and the entries of sphere_complex(v), sorted by degree;
+- the cells of sphere_complex(v), and its entries one by one as
+  (src, tgt, kind, trans) tuples (MackeyComplex.flat_entries), sorted by
+  degree and within each degree;
 - for each coefficient (K: F, F*, m, W, mg*; C2: F, F*, f, g):
   the matrix of differential(lv, n) for n from the lowest cell degree to
   the highest plus one (levels inner, in gd.levels order); then those of
@@ -54,7 +56,7 @@ def oracle_digest(k_box=3, c2_box=6):
         cx = bredon.sphere_complex(v)
         gd = cx.gd
         put(sorted(cx.cells.items()))
-        put(sorted((n, sorted(es)) for n, es in cx.entries.items()))
+        put(sorted(cx.flat_entries().items()))
         degs = cx.degrees()
         for coeff in coeffs:
             lvl = bredon.with_coefficients(cx, coeff)

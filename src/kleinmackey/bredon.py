@@ -4,9 +4,15 @@ A representation sphere is modeled by its reduced equivariant cell chain
 complex.  Cells are orbits (one subgroup stabilizer each); differentials are
 stored coefficient-free as "up" maps (a projection of orbits composed with a
 translation) or "down" maps (the formal transpose, appearing in dualized
-complexes).  A smash product routes each factor entry to the product cells
-it joins through a table of where its orbits land, keyed by the stabilizers
-and translation and built once per process; a product cell is found as its
+complexes).  A complex files its entries under their stamp keys, (transfer,
+source stabilizer, target stabilizer, translation), as lists of (source,
+target) cell pairs, and keeps no other form of them.  A smash product routes
+the entries between each pair of factor cells to the product cells they
+join through a table of where their orbits land, keyed by the kind,
+stabilizers and set of translations and built once per process: the table
+has already cancelled routes that two translations share, mod 2, and
+grouped the rest under the product's stamp keys, so each routed entry is
+appended to its key's list as it comes.  A product cell is found as its
 pair's first cell plus its position among the pair's orbits, with no
 search.  One pass of the Leibniz rule serves both factors, reading the
 pairs' first cells along rows for the first and along columns for the
@@ -14,21 +20,23 @@ second.  Evaluating at a subgroup level J with a coefficient functor m turns
 each cell into one copy of m(stab & J) per double coset.  Each entry, and
 with trans = 0 each level res/tr chain map, puts one block of m at the
 larger-stabilizer end's coset of r*trans for each coset r of the smaller
-end: the transfer up, or the restriction back.  One placement's nonzero columns, relative to the two
-cells' offsets, form a stamp, made once per process for each coefficient
-functor and (res/tr, levels, stabilizers, translation) from the lattice's
-coset tables and the functor's composite res/tr map; the stamp table is the
-only table kept per functor.  Nothing keyed by a representation or a complex
-is kept: each query builds, lays out and reduces its own complex.  Every map
-is assembled from stamps as its columns, the transpose of its matrix, which
-is the form f2's column reduction reads.  Homology of those levelwise
-complexes, with the induced restriction and transfer maps obtained by lifting
-cycles, is the graded homotopy Mackey functor, computed one degree at a time
-so that only two degrees' differentials and homology bases are held at once.
-The degrees are walked from the top down, so that f2.homology_reps can clear
-d_n with the pivots of the already reduced d_{n+1}: it skips columns that
-reduce to zero and hold no new cycle, so no output changes (see f2).  One
-level's graded dimensions alone come from the differentials' ranks.
+end: the transfer up, or the restriction back.  One placement's nonzero
+columns, relative to the two cells' offsets, form a stamp, made once per
+process for each coefficient functor and (res/tr, levels, stabilizers,
+translation) from the lattice's coset tables and the functor's composite
+res/tr map; the stamp table is the only table kept per functor.  A
+differential reads each stamp key's group as stored, one stamp for the
+whole list.  Nothing keyed by a representation or a complex is kept: each
+query builds, lays out and reduces its own complex.  Every map is assembled
+from stamps as its columns, the transpose of its matrix, which is the form
+f2's column reduction reads.  Homology of those levelwise complexes, with
+the induced restriction and transfer maps obtained by lifting cycles, is the
+graded homotopy Mackey functor, computed one degree at a time so that only
+two degrees' differentials and homology bases are held at once.  The
+degrees are walked from the top down, so that f2.homology_reps can clear d_n
+with the pivots of the already reduced d_{n+1}: it skips columns that reduce
+to zero and hold no new cycle, so no output changes (see f2).  One level's
+graded dimensions alone come from the differentials' ranks.
 
 The minimal cell structure for a character power (one fixed cell plus one
 orbit cell per dimension, boundary alternating fold and 1+translation) keeps
@@ -56,18 +64,22 @@ class MackeyComplex:
     """Bounded complex of orbit cells with coefficient-free differentials.
 
     cells: {degree: [Cell, ...]}
-    entries: {degree: {(src_idx, tgt_idx, kind, trans)}} mapping degree to
-    degree-1; kind is "up" (stabilizer grows along x -> x*trans) or "down"
-    (formal transpose of the up map with the same translation).  Either way
-    it joins a smaller-stabilizer end (an up entry's source, a down entry's
-    target) to a larger one, only trans modulo the larger stabilizer matters,
-    and with coefficients it is the transfer between them or the restriction.
+    entries: {degree: {(transfer, src_stab, tgt_stab, trans): [(src_idx,
+    tgt_idx), ...]}} mapping degree to degree-1, each entry filed under its
+    stamp key (see LevelComplexes._stamp): its two cells' stabilizers and its
+    translation, and transfer for an "up" entry (stabilizer grows along
+    x -> x*trans) or not for a "down" one (formal transpose of the up map
+    with the same translation).  Either way it joins a smaller-stabilizer end
+    (an up entry's source, a down entry's target) to a larger one, only trans
+    modulo the larger stabilizer matters, and with coefficients it is the
+    transfer between them or the restriction.  flat_entries lists the
+    entries one by one.
     """
 
     def __init__(self, group, cells, entries):
         self.group = group
         self.cells = {n: tuple(cs) for n, cs in cells.items() if cs}
-        self.entries = {n: frozenset(es) for n, es in entries.items() if es}
+        self.entries = {n: groups for n, groups in entries.items() if groups}
 
     @property
     def gd(self):
@@ -78,6 +90,14 @@ class MackeyComplex:
 
     def cell_count(self):
         return sum(len(cs) for cs in self.cells.values())
+
+    def flat_entries(self):
+        """{degree: sorted [(src_idx, tgt_idx, kind, trans)]}: the entries
+        one by one, kind "up" for a transfer and "down" for a restriction."""
+        return {n: sorted((src, tgt, "up" if transfer else "down", trans)
+                          for (transfer, _, _, trans), pairs in groups.items()
+                          for src, tgt in pairs)
+                for n, groups in self.entries.items()}
 
 
 def trivial_suspension(k, group="K"):
@@ -102,24 +122,25 @@ def character_sphere(char, n, group="K"):
     ker = gd.char_kernels[char]
     t = min(g for g in gd.elements if g not in gd.subgroups[ker])
     cells = {0: [Cell(0, top)]}
-    entries = {1: {(0, 0, "up", 0)}}
+    entries = {1: {(True, ker, top, 0): [(0, 0)]}}
     for j in range(1, n + 1):
         cells[j] = [Cell(j, ker)]
         if j >= 2:
-            entries[j] = {(0, 0, "up", 0), (0, 0, "up", t)}
+            entries[j] = {(True, ker, ker, 0): [(0, 0)], (True, ker, ker, t): [(0, 0)]}
     return MackeyComplex(group, cells, entries)
 
 
 def dualize(c):
-    """Negate degrees and transpose every differential entry."""
+    """Negate degrees and transpose every differential entry: a transfer
+    becomes a restriction, and the other way round, with the two ends and
+    their stabilizers swapped."""
     cells = {-n: tuple(Cell(-n, cell.stab) for cell in cs)
              for n, cs in c.cells.items()}
-    entries = {}
-    flip = {"up": "down", "down": "up"}
-    for n, es in c.entries.items():
-        # entry C_n -> C_{n-1} becomes C_{-(n-1)} -> C_{-n}
-        entries.setdefault(-(n - 1), set()).update(
-            (tgt, src, flip[kind], trans) for src, tgt, kind, trans in es)
+    # entry C_n -> C_{n-1} becomes C_{-(n-1)} -> C_{-n}
+    entries = {1 - n: {(not transfer, tgt_stab, src_stab, trans):
+                       [(tgt, src) for src, tgt in pairs]
+                       for (transfer, src_stab, tgt_stab, trans), pairs in groups.items()}
+               for n, groups in c.entries.items()}
     return MackeyComplex(c.group, cells, entries)
 
 
@@ -136,30 +157,39 @@ def _locate(gd, stab1, stab2, p1, p2):
 
 
 @lru_cache(maxsize=None)
-def _route_table(group, left, kind, stab_src, stab_tgt, u):
-    """{other factor cell's stabilizer: route}, for every level of the
-    group, for an entry of the first factor (left) or the second with the
-    given kind, source and target stabilizers and translation.  A route
-    lists, per orbit over the entry's smaller end, its (source, target,
-    translation): the orbit positions within their pairs, and the
-    translation modulo the larger product stabilizer.  It depends on the
-    group lattice alone, so it is built once per process and shared:
-    callers only read it."""
+def _route_table(group, left, transfer, stab_src, stab_tgt, translations):
+    """{other factor cell's stabilizer: ((stamp key, routes), ...)}, for
+    every level of the group, for the entries between one pair of cells of
+    the first factor (left) or the second: up entries (transfer) or down
+    ones, with the given source and target stabilizers and frozenset of
+    translations.  Each translation routes every orbit over the entry's
+    smaller end to one product entry, a route (source, target) of orbit
+    positions within their pairs, with its translation modulo the larger
+    product stabilizer.  Routes that an even number of translations reach
+    cancel mod 2; the others are grouped under the product entries' stamp
+    key (transfer, source stabilizer, target stabilizer, translation).  The
+    table depends on the group lattice alone, so it is built once per
+    process and shared: callers only read it."""
     gd = group_by_name(group)
-    stab_s, stab_b = (stab_src, stab_tgt) if kind == "up" else (stab_tgt, stab_src)
+    stab_s, stab_b = (stab_src, stab_tgt) if transfer else (stab_tgt, stab_src)
     table = {}
     for other in gd.levels:
         big_cosets = gd.cosets(gd.join(stab_b, other))
         meet = gd.meet(stab_b, other)
-        found = table[other] = []
-        for small, s in enumerate(gd.cosets(gd.join(stab_s, other))):
-            if left:  # (e * stab_s, s * other) maps to (u * stab_b, s * other)
-                tw, v = _locate(gd, stab_b, other, u, s)
-            else:  # (e * other, s * stab_s) maps to (e * other, s * u * stab_b)
-                tw, v = _locate(gd, other, stab_b, 0, s ^ u)
-            v = gd.coset_rep(v, meet)
-            big = big_cosets.index(tw)
-            found.append((small, big, v) if kind == "up" else (big, small, v))
+        odd = set()
+        for u in translations:
+            for small, s in enumerate(gd.cosets(gd.join(stab_s, other))):
+                if left:  # (e * stab_s, s * other) maps to (u * stab_b, s * other)
+                    tw, v = _locate(gd, stab_b, other, u, s)
+                else:  # (e * other, s * stab_s) maps to (e * other, s * u * stab_b)
+                    tw, v = _locate(gd, other, stab_b, 0, s ^ u)
+                big = big_cosets.index(tw)
+                odd ^= {(gd.coset_rep(v, meet), (small, big) if transfer else (big, small))}
+        ends = gd.meet(stab_src, other), gd.meet(stab_tgt, other)
+        groups = {}
+        for v, route in sorted(odd):
+            groups.setdefault((transfer, *ends, v), []).append(route)
+        table[other] = tuple((key, tuple(routes)) for key, routes in groups.items())
     return table
 
 
@@ -172,19 +202,23 @@ def smash(c1, c2):
     twist's coset position: index[(n1, n2)][i1][i2].  The Leibniz rule
     sends each factor entry, from every product cell over its
     smaller-stabilizer end, to the product cell over its other end that
-    holds the image point; pairs of identical routed entries cancel mod 2.
-    Where those orbits land depends only on the entry's kind, stabilizers
-    and translation and on the other factor cell's stabilizer.  Each such
-    route, the orbit positions at both ends and the translation, is located
-    once per process in _route_table, so routing one entry costs two
-    additions.  One pass serves both factors: an entry of c1 reads a row of
-    the index, an entry of c2 a column, from the same table transposed.
+    holds the image point.  Where those orbits land, and which of them
+    cancel mod 2, depends only on the kind, stabilizers and translations of
+    the entries between one pair of factor cells and on the other factor
+    cell's stabilizer: _route_table merges them once per process, grouped
+    under the product entries' stamp keys.  Entries from distinct pairs of
+    factor cells, or of distinct kinds, never cancel: they join distinct
+    pairs of product cells, or differ in kind.  So each routed entry is
+    filed under its key as it comes, at the cost of two additions.  One pass
+    serves both factors: an entry of c1 reads a row of the index, an entry
+    of c2 a column, from the same table transposed.
     """
     if c1.group != c2.group:
         raise ValueError("group mismatch in smash")
     gd = c1.gd
     cells = {}
     index = {}  # (n1, n2) -> [i1][i2]: index in cells[n1 + n2] of the pair's first orbit
+    orbits = {}  # (degree, stab1, stab2) -> the pair's orbit cells, shared
     for n1 in c1.degrees():
         for n2 in c2.degrees():
             deg = n1 + n2
@@ -193,35 +227,35 @@ def smash(c1, c2):
             for cell1 in c1.cells[n1]:
                 row = []
                 for cell2 in c2.cells[n2]:
-                    k = len(gd.cosets(gd.join(cell1.stab, cell2.stab)))
+                    key = (deg, cell1.stab, cell2.stab)
+                    pair = orbits.get(key)
+                    if pair is None:
+                        k = len(gd.cosets(gd.join(cell1.stab, cell2.stab)))
+                        pair = orbits[key] = [Cell(deg, gd.meet(cell1.stab, cell2.stab))] * k
                     row.append(len(lst))
-                    lst.extend([Cell(deg, gd.meet(cell1.stab, cell2.stab))] * k)
+                    lst.extend(pair)
                 rows.append(row)
     by_column = {(n2, n1): list(zip(*rows)) for (n1, n2), rows in index.items()}
 
-    def toggle(bucket, routed):
-        """Flip each routed entry in the bucket."""
-        for entry in routed:
-            if entry in bucket:
-                bucket.remove(entry)
-            else:
-                bucket.add(entry)
-
     # an entry is filed under its source's degree, the higher one
-    entries = {n: set() for n in cells}
+    entries = {n: {} for n in cells}
     for left, c, other, table_of in ((True, c1, c2, index), (False, c2, c1, by_column)):
-        for n, es in c.entries.items():
-            srcs, tgts = c.cells[n], c.cells[n - 1]
-            tables = [(i, j, kind, _route_table(gd.name, left, kind, srcs[i].stab,
-                                                tgts[j].stab, u))
-                      for i, j, kind, u in es]
+        for n, groups in c.entries.items():
+            translations = {}  # (transfer, src stab, tgt stab) -> {(i, j): translations}
+            for (transfer, src_stab, tgt_stab, u), pairs in groups.items():
+                of_pair = translations.setdefault((transfer, src_stab, tgt_stab), {})
+                for pair in pairs:
+                    of_pair.setdefault(pair, []).append(u)
+            tables = [(i, j, _route_table(gd.name, left, *kind, frozenset(us)))
+                      for kind, of_pair in translations.items() for (i, j), us in of_pair.items()]
             for m, other_cells in other.cells.items():
                 src_rows, tgt_rows = table_of[(n, m)], table_of[(n - 1, m)]
-                toggle(entries[n + m], [
-                    (src_0 + src, tgt_0 + tgt, kind, v)
-                    for i, j, kind, table in tables
-                    for cell, src_0, tgt_0 in zip(other_cells, src_rows[i], tgt_rows[j])
-                    for src, tgt, v in table[cell.stab]])
+                out = entries[n + m]
+                for i, j, table in tables:
+                    for cell, src_0, tgt_0 in zip(other_cells, src_rows[i], tgt_rows[j]):
+                        for key, routes in table[cell.stab]:
+                            out.setdefault(key, []).extend(
+                                [(src_0 + src, tgt_0 + tgt) for src, tgt in routes])
 
     return MackeyComplex(c1.group, cells, entries)
 
@@ -254,8 +288,7 @@ class LevelComplexes:
     Every map comes as its columns, the form f2.homology_reps reads: row j
     of the BitMatrix is the image of basis vector j of the source, so the
     matrix is the transpose of the map.  A level is laid out when first read.
-    Stamps come from _stamp_table; the layouts and grouped entries belong
-    to this complex.
+    Stamps come from _stamp_table; the layouts belong to this complex.
     """
 
     def __init__(self, cx, coeff):
@@ -265,7 +298,6 @@ class LevelComplexes:
         self.coeff = coeff
         self._stamps = _stamp_table(coeff)
         self._layouts = {}  # level -> {degree: (offset of each cell, dim)}
-        self._entries = {}  # degree -> differential entries grouped by stamp
 
     def _layout(self, lv, n):
         """First basis index of each cell of C_n(lv), and dim C_n(lv)."""
@@ -325,31 +357,16 @@ class LevelComplexes:
             (c, bits) for c, bits in sorted(bits_of.items()) if bits)
         return stamp
 
-    def _grouped_entries(self, n):
-        """The entries of d: C_n -> C_{n-1} as [(stamp key, [entry])], the
-        key (transfer, source stabilizer, target stabilizer, trans).  The
-        lists hold the complex's own (src, tgt, kind, trans) tuples."""
-        groups = self._entries.get(n)
-        if groups is None:
-            srcs, tgts = self.cx.cells.get(n, ()), self.cx.cells.get(n - 1, ())
-            by_key = {}
-            for entry in self.cx.entries.get(n, ()):
-                src, tgt, kind, trans = entry
-                key = (kind == "up", srcs[src].stab, tgts[tgt].stab, trans)
-                by_key.setdefault(key, []).append(entry)
-            groups = self._entries[n] = list(by_key.items())
-        return groups
-
     def differential(self, lv, n):
         """d: C_n(lv) -> C_{n-1}(lv), as its columns."""
         src_offs, src_dim = self._layout(lv, n)
         tgt_offs, tgt_dim = self._layout(lv, n - 1)
         data = [0] * src_dim
-        for (transfer, src_stab, tgt_stab, trans), entries in self._grouped_entries(n):
+        for (transfer, src_stab, tgt_stab, trans), pairs in self.cx.entries.get(n, {}).items():
             stamp = self._stamp(transfer, lv, src_stab, lv, tgt_stab, trans)
             if not stamp:
                 continue
-            for src, tgt, _, _ in entries:
+            for src, tgt in pairs:
                 col_off, row_off = src_offs[src], tgt_offs[tgt]
                 for c, bits in stamp:
                     data[col_off + c] ^= bits << row_off

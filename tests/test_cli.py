@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from kleinmackey import bredon, hk, mackey, slices, sschart, verify
 from kleinmackey.cli import (_MAX_CLOSED_K, _MAX_ORACLE_ENTRIES, _MAX_POINCARE_TERMS,
@@ -545,8 +545,11 @@ _ARGV = st.one_of(
 )
 
 
+# No shrink phase: each shrink step would start another child, and a
+# failing batch would take minutes to report; the failing argv shows as is.
 @given(st.lists(_ARGV, min_size=20, max_size=40))
-@settings(max_examples=12, derandomize=True, deadline=None)
+@settings(max_examples=12, derandomize=True, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
 def test_fuzzed_requests_answer_fast_or_exit_2(batch):
     # the exit-code contract over the CLI grammar: an answer, or one error
     # line; never a traceback, a verification failure or a slow answer
