@@ -5,7 +5,9 @@ Hashes repr(obj).encode() for this sequence of objects.  For each K
 representation (0, b, c, d), in itertools.product order over b, c, d in
 [-3, 3], and then each C2 representation (0, b), b in [-6, 6]:
 
-- the cells of sphere_complex(v), and its entries one by one as
+- the cells of sphere_complex(v), each rendered in the recorded form
+  Cell(degree=n, stab='L') although the complex stores only the
+  stabilizer's name (see Cell below), and its entries one by one as
   (src, tgt, kind, trans) tuples (MackeyComplex.flat_entries), sorted by
   degree and within each degree;
 - for each coefficient (K: F, F*, m, W, mg*; C2: F, F*, f, g):
@@ -29,6 +31,7 @@ the recorded values.
 import hashlib
 import itertools
 import sys
+from dataclasses import dataclass
 
 from kleinmackey import bredon
 from kleinmackey.reps import RepC2, RepK
@@ -37,6 +40,14 @@ K_COEFFS = ("F", "F*", "m", "W", "mg*")
 C2_COEFFS = ("F", "F*", "f", "g")
 EXPECTED = (196590,
             "f636c1dc43616a2ada65281945438796800ba0dd46e3136615b69c58d02b3aa1")
+
+
+@dataclass(frozen=True)
+class Cell:
+    """A cell as the digest hashes it: its repr is the text the recorded
+    digests were computed from, when the oracle stored cells this way."""
+    degree: int
+    stab: str
 
 
 def oracle_digest(k_box=3, c2_box=6):
@@ -55,7 +66,7 @@ def oracle_digest(k_box=3, c2_box=6):
     for v, coeffs in reps:
         cx = bredon.sphere_complex(v)
         gd = cx.gd
-        put(sorted(cx.cells.items()))
+        put(sorted((n, tuple(Cell(n, stab) for stab in cs)) for n, cs in cx.cells.items()))
         put(sorted(cx.flat_entries().items()))
         degs = cx.degrees()
         for coeff in coeffs:

@@ -16,7 +16,7 @@ from .groups import group_by_name
 from .laurent import LaurentPoly, geom
 from .mackey import (_MAX_MAP_ENTRIES, _checked_dims, catalog, expr_dims,
                      format_name_expr, identify, mackey_from_json, parse_name_expr)
-from .reps import RepK, parse_rep
+from .reps import parse_rep
 
 
 # The largest sphere the oracle engine takes, counted in cells of its complex.
@@ -57,6 +57,11 @@ MAX_CHART_N = 1000
 # megabytes of output) on the same host.
 _MAX_POINCARE_TERMS = 10**6
 
+# The largest --box `verify` sweeps, whose work depends on the box alone: on
+# the same host, in wall time, hk-oracle took 1.2, 3.0, 6.5 and 14.8 s at
+# boxes 3 to 6, and duality 7.0 s at box 3 and 21.1 s at box 4.
+_MAX_VERIFY_BOX = 4
+
 # argparse reads a value that starts with "-" as an option name
 _REP_HELP = ('representation "a,b,c,d" (Klein) or "a,b" (C2); one that starts '
             'with "-" needs the --rep= form, as in --rep=-1,0,0,0')
@@ -80,19 +85,6 @@ def _oracle_entries(v, dims):
         cells = cells * (LaurentPoly.one() + twos + twos)
     count = cells.as_dict()
     return max(dims) ** 2 * max(c * count.get(e - 1, 0) for e, c in count.items())
-
-
-def _check_oracle_cells(v, coeff, what):
-    """ValueError naming what, when S^v is past MAX_ORACLE_CELLS or, with the
-    coefficient name expression coeff, past _MAX_ORACLE_ENTRIES."""
-    cells = oracle_cell_count(v)
-    if cells > MAX_ORACLE_CELLS:
-        raise ValueError(f"{what} has {cells} cells, more than the oracle "
-                         f"engine's bound of {MAX_ORACLE_CELLS}")
-    entries = _oracle_entries(v, _checked_dims(parse_name_expr(coeff, v.group), v.group))
-    if entries > _MAX_ORACLE_ENTRIES:
-        raise ValueError(f"{what} with {coeff} has a differential of {entries} entries, "
-                         f"more than the oracle engine's bound of {_MAX_ORACLE_ENTRIES}")
 
 
 def _poincare_terms(v):
@@ -146,7 +138,14 @@ def cmd_homotopy(args, out):
         found = [({"degree": d, "identified_name": format_name_expr(e)},
                   expr_dims(e, group)) for d, e in sorted(table.items())]
     else:
-        _check_oracle_cells(v, args.coeff, "S^V")
+        cells = oracle_cell_count(v)
+        if cells > MAX_ORACLE_CELLS:
+            raise ValueError(f"S^V has {cells} cells, more than the oracle "
+                             f"engine's bound of {MAX_ORACLE_CELLS}")
+        entries = _oracle_entries(v, _checked_dims(parse_name_expr(args.coeff, group), group))
+        if entries > _MAX_ORACLE_ENTRIES:
+            raise ValueError(f"S^V with {args.coeff} has a differential of {entries} entries, "
+                             f"more than the oracle engine's bound of {_MAX_ORACLE_ENTRIES}")
         found = []
         for d, m in sorted(bredon.homotopy(v, args.coeff).items()):
             expr = identify(m)
@@ -285,8 +284,8 @@ def cmd_verify(args, out):
     if args.box is not None:
         if args.suite not in ("hk-oracle", "duality"):
             raise ValueError(f"suite {args.suite} takes no --box")
-        _check_oracle_cells(RepK(0, args.box, args.box, args.box), "F",
-                            f"--box {args.box}'s largest sphere")
+        if args.box > _MAX_VERIFY_BOX:
+            raise ValueError(f"--box {args.box} is past the bound of {_MAX_VERIFY_BOX}")
         kwargs["box"] = args.box
     if args.file is not None:
         if args.suite != "axioms":
@@ -392,9 +391,8 @@ def build_parser():
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
     sp.add_argument("--box", type=int, default=None,
-                    help="coefficient box half-width for sweep suites; the "
-                         "sweep's largest sphere, b = c = d = box, may have at most "
-                         f"{MAX_ORACLE_CELLS} cells, so box <= 35")
+                    help="coefficient box half-width for sweep suites, at most "
+                         f"{_MAX_VERIFY_BOX}, where duality takes about 20 s")
     sp.add_argument("--file", default=None,
                     help="JSON Mackey functor for the axioms suite")
     sp.set_defaults(func=cmd_verify)

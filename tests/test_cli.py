@@ -11,8 +11,8 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from kleinmackey import bredon, hk, mackey, slices, sschart, verify
 from kleinmackey.cli import (_MAX_CLOSED_K, _MAX_ORACLE_ENTRIES, _MAX_POINCARE_TERMS,
-                            MAX_CHART_N, MAX_ORACLE_CELLS, MAX_TOWER_N, _oracle_entries,
-                            _poincare_terms, main, oracle_cell_count)
+                            _MAX_VERIFY_BOX, MAX_CHART_N, MAX_ORACLE_CELLS, MAX_TOWER_N,
+                            _oracle_entries, _poincare_terms, main, oracle_cell_count)
 from kleinmackey.mackey import CATALOG_ATOMS
 from kleinmackey.reps import RepC2, RepK
 
@@ -237,20 +237,21 @@ def test_verify_box_size_guard(capsys, monkeypatch):
     def never(name, **kwargs):
         raise AssertionError(f"suite {name} started past the bound")
 
-    # the sweep reaches b = c = d = box: 35 is the 89531-cell 35(a+b+g)
-    assert oracle_cell_count(RepK(0, 35, 35, 35)) <= MAX_ORACLE_CELLS \
-        < oracle_cell_count(RepK(0, 36, 36, 36))
+    # the bound is on the box itself, not on the sweep's largest sphere,
+    # which let box 35 through: it keeps the acceptance boxes, 2 and 3
+    assert 3 <= _MAX_VERIFY_BOX < 35
     monkeypatch.setattr(verify, "run_suite", never)
-    for suite, box in itertools.product(("hk-oracle", "duality"), ("36", "100")):
+    for suite, box in itertools.product(("hk-oracle", "duality"),
+                                        (str(_MAX_VERIFY_BOX + 1), "36", "100")):
         start = time.perf_counter()
         assert run(["verify", "--suite", suite, "--box", box]) == (2, ""), (suite, box)
         assert time.perf_counter() - start < 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert "Traceback" not in err and str(MAX_ORACLE_CELLS) in err
+        assert "Traceback" not in err and f"bound of {_MAX_VERIFY_BOX}" in err
     monkeypatch.setenv("COLUMNS", "200")
     assert run(["verify", "--help"]) == (0, "")
-    assert f"at most {MAX_ORACLE_CELLS} cells, so box <= 35" in capsys.readouterr().out
+    assert f"sweep suites, at most {_MAX_VERIFY_BOX}," in capsys.readouterr().out
 
 
 def _refused_fast(capsys, argv, bound):
@@ -533,7 +534,8 @@ _ARGV = st.one_of(
     # or a box and of slice-homotopy, which run for a second or more
     _args(st.just(["verify"]), st.sampled_from(sorted(verify.SUITES)).map(
         lambda suite: [f"--suite={suite}"]),
-          st.one_of(st.just([]), _flag("box", _sized((0, 1), (36, 10**12), _NEGATIVE)),
+          st.one_of(st.just([]),
+                    _flag("box", _sized((0, 1), (_MAX_VERIFY_BOX + 1, 10**12), _NEGATIVE)),
                     _flag("file", _FILES))
           ).filter(lambda argv: argv[1] not in _SWEEPS or len(argv) > 2),
     # usage errors, which argparse finds: an unknown subcommand or option, a

@@ -6,7 +6,8 @@ only loads, never definitions, imports or stores:
 - a module-level function, class or constant of module M is used where it
   is read by name in M, read by name in a file that imports it from M, or
   read as an attribute of M (``hk.poincare``);
-- a public method is used wherever an attribute of its name is read.
+- a public method, or a field of a dataclass, is used wherever an
+  attribute of its name is read.
 
 Reads inside the definition itself do not count, and the package
 ``__init__`` is not scanned, so an export is not a caller.  A name that
@@ -70,7 +71,7 @@ class _Scan(ast.NodeVisitor):
         self.module_alias = {}            # local name -> package module
         self.imported = {}                # local name -> (module, name)
         self.defined = set()              # module-level keys (module, name)
-        self.methods = set()              # (module, class, method)
+        self.members = set()              # (module, class, method or field)
         self.loads = []                   # (key, enclosing keys)
         self.attr_loads = []              # (attribute name, enclosing keys)
         self.stack = []
@@ -90,10 +91,14 @@ class _Scan(ast.NodeVisitor):
                 for name in _module_level_names(node):
                     self.defined.add((self.module, name))
                 if isinstance(node, ast.ClassDef):
+                    dataclass = any(_is_dataclass(d) for d in node.decorator_list)
                     for item in node.body:
                         if isinstance(item, ast.FunctionDef) \
                                 and not item.name.startswith("_"):
-                            self.methods.add((self.module, node.name, item.name))
+                            self.members.add((self.module, node.name, item.name))
+                        elif dataclass and isinstance(item, ast.AnnAssign) \
+                                and isinstance(item.target, ast.Name):
+                            self.members.add((self.module, node.name, item.target.id))
         self.visit(tree)
 
     def _key_of(self, node):
@@ -135,6 +140,13 @@ class _Scan(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _is_dataclass(decorator):
+    """Whether a class decorator is dataclass or a call of it."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+
+
 def _module_level_names(node):
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         return [node.name]
@@ -159,17 +171,17 @@ def unreferenced_names():
         scans.append((name, PACKAGE / f"{name}.py"))
     for folder in CALLERS:
         scans.extend((None, path) for path in sorted(folder.glob("*.py")))
-    defined, methods, loads, attr_loads = set(), set(), [], []
+    defined, members, loads, attr_loads = set(), set(), [], []
     for module, path in scans:
         scan = _Scan(module, modules)
         scan.scan(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         defined |= scan.defined
-        methods |= scan.methods
+        members |= scan.members
         loads += scan.loads
         attr_loads += scan.attr_loads
     used = {key for key, enclosing in loads if key not in enclosing}
     out = {".".join(key) for key in defined - used}
-    for key in methods:
+    for key in members:
         if not any(attr == key[2] and key not in enclosing
                    for attr, enclosing in attr_loads):
             out.add(".".join(key))
