@@ -16,7 +16,7 @@ from .groups import group_by_name
 from .laurent import LaurentPoly, geom
 from .mackey import (_MAX_MAP_ENTRIES, _checked_dims, catalog, expr_dims,
                      format_name_expr, identify, mackey_from_json, parse_name_expr)
-from .reps import parse_rep
+from .reps import parse_rep, rho_decompose
 
 
 # The largest sphere the oracle engine takes, counted in cells of its complex.
@@ -126,7 +126,7 @@ def cmd_homotopy(args, out):
         raise ValueError(f"no level {args.level!r} for this group")
     if args.engine == "closed":
         try:
-            a, k = slc._rho_decompose(v)
+            a, k = rho_decompose(v)
         except ValueError:
             raise ValueError("closed engine needs a suspension of the form "
                              "a + k rho; poincare gives the level series "
@@ -203,7 +203,7 @@ def cmd_tower(args, out):
                 else format_name_expr(node.coeff),
                 "homotopy": [{"degree": d, "mackey": format_name_expr(e)}
                              for d, e in node.homotopy],
-                "summand_of": node.summand_of,
+                "summand_of": node.i if node.kind == "summand" else None,
                 "note": node.note,
             })
         _emit(out, json.dumps(doc, indent=2, sort_keys=True))
@@ -212,8 +212,7 @@ def cmd_tower(args, out):
     else:
         for node in nodes:
             tag = f"[{node.label}]" if node.kind == "summand" else node.label
-            extra = f"  (summand of the {node.summand_of}-slice)" \
-                if node.summand_of else ""
+            extra = f"  (summand of the {node.i}-slice)" if node.kind == "summand" else ""
             note = f"  ({node.note})" if node.note else ""
             _emit(out, f"{node.kind:>8} {tag:>8}  {node.pretty()}{extra}{note}")
     return 0

@@ -7,7 +7,8 @@ on (1, sigma).  Both share one arithmetic, and each class names its group
 in the class attribute group, which code reads instead of testing the
 type.  After the trivial coefficient, coeffs() lists the characters in the
 order of group_by_name(v.group).char_kernels.  parse_rep reads the tuples
-of either group.
+of either group.  The twists a + k rho, whose characters all have
+coefficient k, are built by a_plus_k_rho and read back by rho_decompose.
 """
 
 from __future__ import annotations
@@ -59,6 +60,20 @@ class RepC2(_Rep):
 
 
 RHO_K = RepK(1, 1, 1, 1)
+
+
+def a_plus_k_rho(group, a, k):
+    """The representation a + k rho of the named group."""
+    return RepK(a + k, k, k, k) if group == "K" else RepC2(a + k, k)
+
+
+def rho_decompose(v):
+    """(a, k) with v = a + k rho, over either group; ValueError when the
+    characters of v do not all have the same coefficient."""
+    k = v.b
+    if any(x != k for x in v.coeffs()[1:]):
+        raise ValueError(f"not of the form a + k rho: {v}")
+    return v.a - k, k
 
 
 def restrict_rep(v, h):

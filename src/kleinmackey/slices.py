@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .groups import KLEIN
 from .mackey import (DUAL_NAMES, display_terms, dual, expr_to_mackey, identify,
                      parse_name_expr, restrict_to, restriction_kernel)
-from .reps import RepC2, RepK, restrict_rep
+from .reps import a_plus_k_rho, restrict_rep, rho_decompose
 
 
 @dataclass(frozen=True)
@@ -44,27 +44,25 @@ class SliceCell:
     trivial: bool = False
 
     def pretty(self):
-        if self.trivial:
-            return "*"
-        return f"{pretty_susp(self.susp)} H{pretty_coeff(self.coeff)}"
+        return "*" if self.trivial else pretty_cell(self.susp, self.coeff)
 
 
 _GLYPHS = {f"phi{h}({x})": f"φ*_{h} {x}" if len(h) == 1 else f"φ*_{{{h}}}{x}"
            for h in ("L", "D", "R", "LDR") for x in ("F", "F*", "f")}
 
 
-def pretty_coeff(expr):
-    """Display form like "(φ*_{LDR}F* ⊕ g^2)"; bare name for single atoms."""
-    parts = display_terms(expr, _GLYPHS)
-    if not parts:
-        return " 0"
-    if len(parts) == 1:
-        return parts[0]
-    return "(" + " ⊕ ".join(parts) + ")"
+def pretty_cell(susp, coeff):
+    """Σ^V HM for a name expression M, like "Σ^{3ρ} H(φ*_{LDR}F* ⊕ g^2)",
+    with a single atom bare; the cofiber coefficient "C" prints as Σ^V C."""
+    if coeff == "C":
+        return f"{pretty_susp(susp)} C"
+    parts = display_terms(coeff, _GLYPHS) or [" 0"]
+    name = parts[0] if len(parts) == 1 else f"({' ⊕ '.join(parts)})"
+    return f"{pretty_susp(susp)} H{name}"
 
 
 def pretty_susp(v):
-    a, k = _rho_decompose(v)
+    a, k = rho_decompose(v)
     rho = "" if k == 0 else ("ρ" if k == 1 else f"{k}ρ")
     if rho and a:
         return f"Σ^{{{rho}+{a}}}" if a > 0 else f"Σ^{{{rho}{a}}}"
@@ -74,11 +72,11 @@ def pretty_susp(v):
 
 
 def _k_cell(i, k, a, names):
-    return SliceCell("K", i, RepK(k + a, k, k, k), parse_name_expr(names))
+    return SliceCell("K", i, a_plus_k_rho("K", a, k), parse_name_expr(names))
 
 
 def _c2_cell(i, k, a, names):
-    return SliceCell("C2", i, RepC2(k + a, k), parse_name_expr(names, "C2"))
+    return SliceCell("C2", i, a_plus_k_rho("C2", a, k), parse_name_expr(names, "C2"))
 
 
 def slice_bounds_K(n):
@@ -157,15 +155,6 @@ def slice_C2_f(n, i):
 
 # ---------------------------------------------------------------------------
 # graded homotopy of cells
-
-
-def _rho_decompose(v):
-    """(a, k) with v = a + k rho, over either group; every character of v
-    has coefficient k."""
-    k = v.b
-    if any(x != k for x in v.coeffs()[1:]):
-        raise ValueError(f"not of the form a + k rho: {v}")
-    return v.a - k, k
 
 
 def _merge(table, degree, names):
@@ -263,7 +252,7 @@ def homotopy_of_slice(cell: SliceCell):
     """Graded homotopy names of a slice cell; {} for trivial cells."""
     if cell.trivial:
         return {}
-    a, k = _rho_decompose(cell.susp)
+    a, k = rho_decompose(cell.susp)
     return graded_homotopy(a, k, cell.coeff, cell.group)
 
 
@@ -287,36 +276,6 @@ def cofiber_node_homotopy(m):
     return out
 
 
-def effective_slice_dim(cell: SliceCell):
-    """Slice dimension of a cell, promoting geometric and inflated parts.
-
-    The suspension of a purely geometric cell counts four-fold; coefficients
-    inflated from C2 double the slice dimension of their C2 cell; ordinary
-    coefficients contribute their honest representation dimension.
-    """
-    if cell.trivial:
-        return None
-    a, k = _rho_decompose(cell.susp)
-    names = set(dict(cell.coeff))
-    if cell.group == "C2":
-        if names == {"g"}:
-            return 2 * (a + k)
-        if names == {"f"} and a >= 1:
-            return 2 * k + a            # one suspension of a 1-slice chain
-        return cell.susp.dim
-    if names == {"g"}:
-        return 4 * (a + k)
-    if names <= {"phiL(f)", "phiD(f)", "phiR(f)"}:
-        return 2 * (2 * k + a)          # doubled C2 slice dim of S^{k rho + a} Hf
-    if names <= {"phiL(F)", "phiD(F)", "phiR(F)"}:
-        return 2 * (2 * k + a)
-    if names <= {"phiL(F*)", "phiD(F*)", "phiR(F*)"} | {"g"}:
-        return 4 * k + 2 * a
-    if names == {"f"} and a >= 1:
-        return 4 * k + a
-    return cell.susp.dim
-
-
 # ---------------------------------------------------------------------------
 # towers
 
@@ -325,121 +284,110 @@ def effective_slice_dim(cell: SliceCell):
 class TowerNode:
     kind: str                 # "slice" | "summand" | "section" | "total" | "aux"
     label: str
-    i: object = None          # slice dimension for slice/summand nodes
+    i: object = None          # slice dimension for slice nodes, and for a
+                              # summand node the slice it is a summand of
     susp: object = None
     coeff: object = None      # name expression, or the string "C"
     homotopy: tuple = ()      # sorted ((degree, expr), ...)
-    summand_of: object = None
     note: str = ""
 
     def pretty(self):
-        if self.coeff == "C":
-            return f"{pretty_susp(self.susp)} C"
-        return f"{pretty_susp(self.susp)} H{pretty_coeff(self.coeff)}"
+        return pretty_cell(self.susp, self.coeff)
 
 
-def _node(kind, label, i, k, a, names, summand_of=None, note=""):
-    susp = RepK(k + a, k, k, k)
+def _node(kind, label, i, k, a, names):
+    susp = a_plus_k_rho("K", a, k)
     if names == "C":
         if k != 1:
             raise ValueError("cofiber nodes only appear with a single rho twist")
         hom = tuple(sorted(cofiber_node_homotopy(a).items()))
-        return TowerNode(kind, label, i, susp, "C", hom, summand_of, note)
+        return TowerNode(kind, label, i, susp, "C", hom)
     coeff = parse_name_expr(names)
     hom = tuple(sorted(graded_homotopy(a, k, coeff).items()))
-    return TowerNode(kind, label, i, susp, coeff, hom, summand_of, note)
+    return TowerNode(kind, label, i, susp, coeff, hom)
+
+
+# the printed towers, top node first, as _node's arguments
+# (kind, label, i, k, a, names) for the node Σ^{a + k rho} H(names)
+_TOWERS = {
+    0: (("slice", "P^0_0", 0, 0, 0, "F"),),
+    1: (("slice", "P^1_1", 1, 0, 1, "F"),),
+    2: (("slice", "P^2_2", 2, 0, 2, "F"),),
+    3: (("slice", "P^3_3", 3, 0, 3, "F"),),
+    4: (("slice", "P^4_4", 4, 1, 0, "F*"),),
+    5: (("slice", "P^8_8", 8, 0, 2, "g"),
+        ("total", "X", None, 1, 1, "F*"),
+        ("slice", "P^6_6", 6, 1, 1, "phiLDR(f)"),
+        ("section", "P^6", None, 1, 1, "w*"),
+        ("slice", "P^5_5", 5, 1, 1, "f")),
+    6: (("slice", "P^12_12", 12, 0, 3, "g"),
+        ("total", "X", None, 1, 2, "F*"),
+        ("slice", "P^8_8", 8, 1, 2, "phiLDR(f)"),
+        ("section", "P^8", None, 1, 2, "w*"),
+        ("slice", "P^6_6", 6, 1, 2, "f")),
+    7: (("slice", "P^16_16", 16, 0, 4, "g"),
+        ("total", "X", None, 1, 3, "F*"),
+        ("slice", "P^12_12", 12, 0, 3, "g^3"),
+        ("section", "P^12", None, 1, 3, "w*"),
+        ("slice", "P^10_10", 10, 1, 3, "phiLDR(F)"),
+        ("section", "P^10", None, 1, 3, "W*"),
+        ("slice", "P^8_8", 8, 1, 2, "m"),
+        ("section", "P^8_7", None, 1, 3, "f"),
+        ("slice", "P^7_7", 7, 1, 3, "F")),
+    8: (("slice", "P^20_20", 20, 0, 5, "g"),
+        ("total", "X", None, 1, 4, "F*"),
+        ("slice", "P^16_16", 16, 0, 4, "g^3"),
+        ("section", "P^16", None, 1, 4, "w*"),
+        ("slice", "P^12_12", 12, 3, 0, "phiLDR(F*) + g^2"),
+        ("section", "P^12", None, 1, 4, "W*"),
+        ("slice", "P^10_10", 10, 1, 3, "phiLDR(F)"),
+        ("section", "P^10", None, 1, 3, "C"),
+        ("slice", "P^8_8", 8, 1, 4, "F")),
+    9: (("slice", "P^24_24", 24, 0, 6, "g"),
+        ("total", "X", None, 1, 5, "F*"),
+        ("slice", "P^20_20", 20, 0, 5, "g^3"),
+        ("section", "P^20", None, 1, 5, "w*"),
+        ("summand", "A", 16, 0, 4, "g^3"),
+        ("aux", "aux", None, 1, 5, "phiLDR(F)"),
+        ("section", "P^16", None, 1, 5, "W*"),
+        ("slice", "P^14_14", 14, 3, 1, "phiLDR(f)"),
+        ("summand", "B", 16, 1, 3, "g^2"),
+        ("section", "P^13", None, 1, 5, "f"),
+        ("summand", "C", 12, 1, 4, "phiLDR(F)"),
+        ("section", "P^11", None, 1, 4, "C"),
+        ("summand", "D", 12, 1, 2, "g"),
+        ("section", "P^10", None, 1, 5, "F"),
+        ("slice", "P^10_10", 10, 2, 1, "phiLDR(f)"),
+        ("section", "P^9", None, 2, 1, "w*"),
+        ("slice", "P^9_9", 9, 2, 1, "f")),
+    10: (("slice", "P^28_28", 28, 0, 7, "g"),
+         ("total", "X", None, 1, 6, "F*"),
+         ("slice", "P^24_24", 24, 0, 6, "g^3"),
+         ("section", "P^24", None, 1, 6, "w*"),
+         ("summand", "A", 20, 0, 5, "g^3"),
+         ("aux", "aux", None, 1, 6, "phiLDR(F)"),
+         ("section", "P^20", None, 1, 6, "W*"),
+         ("summand", "C", 16, 3, 2, "phiLDR(f)"),
+         ("summand", "B", 20, 1, 4, "g^2"),
+         ("section", "P^17", None, 1, 6, "f"),
+         ("summand", "D", 16, 3, 1, "g^3"),
+         ("aux", "aux2", None, 1, 5, "phiLDR(F)"),
+         ("section", "P^15", None, 1, 5, "C"),
+         ("slice", "P^14_14", 14, 3, 1, "phiLDR(f)"),
+         ("summand", "E", 16, 1, 3, "g"),
+         ("section", "P^12", None, 1, 6, "F"),
+         ("slice", "P^12_12", 12, 2, 2, "phiLDR(f)"),
+         ("section", "P^11", None, 2, 2, "w*"),
+         ("slice", "P^10_10", 10, 2, 2, "f")),
+}
 
 
 def tower_K(n):
     """The printed tower node list for n <= 10; bare slice list above that."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n <= 3:
-        return (_node("slice", f"P^{n}_{n}", n, 0, n, "F"),)
-    if n == 4:
-        return (_node("slice", "P^4_4", 4, 1, 0, "F*"),)
-    if n == 5:
-        return (
-            _node("slice", "P^8_8", 8, 0, 2, "g"),
-            _node("total", "X", None, 1, 1, "F*"),
-            _node("slice", "P^6_6", 6, 1, 1, "phiLDR(f)"),
-            _node("section", "P^6", None, 1, 1, "w*"),
-            _node("slice", "P^5_5", 5, 1, 1, "f"),
-        )
-    if n == 6:
-        return (
-            _node("slice", "P^12_12", 12, 0, 3, "g"),
-            _node("total", "X", None, 1, 2, "F*"),
-            _node("slice", "P^8_8", 8, 1, 2, "phiLDR(f)"),
-            _node("section", "P^8", None, 1, 2, "w*"),
-            _node("slice", "P^6_6", 6, 1, 2, "f"),
-        )
-    if n == 7:
-        return (
-            _node("slice", "P^16_16", 16, 0, 4, "g"),
-            _node("total", "X", None, 1, 3, "F*"),
-            _node("slice", "P^12_12", 12, 0, 3, "g^3"),
-            _node("section", "P^12", None, 1, 3, "w*"),
-            _node("slice", "P^10_10", 10, 1, 3, "phiLDR(F)"),
-            _node("section", "P^10", None, 1, 3, "W*"),
-            _node("slice", "P^8_8", 8, 1, 2, "m"),
-            _node("section", "P^8_7", None, 1, 3, "f"),
-            _node("slice", "P^7_7", 7, 1, 3, "F"),
-        )
-    if n == 8:
-        return (
-            _node("slice", "P^20_20", 20, 0, 5, "g"),
-            _node("total", "X", None, 1, 4, "F*"),
-            _node("slice", "P^16_16", 16, 0, 4, "g^3"),
-            _node("section", "P^16", None, 1, 4, "w*"),
-            _node("slice", "P^12_12", 12, 3, 0, "phiLDR(F*) + g^2"),
-            _node("section", "P^12", None, 1, 4, "W*"),
-            _node("slice", "P^10_10", 10, 1, 3, "phiLDR(F)"),
-            _node("section", "P^10", None, 1, 3, "C"),
-            _node("slice", "P^8_8", 8, 1, 4, "F"),
-        )
-    if n == 9:
-        return (
-            _node("slice", "P^24_24", 24, 0, 6, "g"),
-            _node("total", "X", None, 1, 5, "F*"),
-            _node("slice", "P^20_20", 20, 0, 5, "g^3"),
-            _node("section", "P^20", None, 1, 5, "w*"),
-            _node("summand", "A", 16, 0, 4, "g^3", summand_of=16),
-            _node("aux", "aux", None, 1, 5, "phiLDR(F)"),
-            _node("section", "P^16", None, 1, 5, "W*"),
-            _node("slice", "P^14_14", 14, 3, 1, "phiLDR(f)"),
-            _node("summand", "B", 16, 1, 3, "g^2", summand_of=16),
-            _node("section", "P^13", None, 1, 5, "f"),
-            _node("summand", "C", 12, 1, 4, "phiLDR(F)", summand_of=12),
-            _node("section", "P^11", None, 1, 4, "C"),
-            _node("summand", "D", 12, 1, 2, "g", summand_of=12),
-            _node("section", "P^10", None, 1, 5, "F"),
-            _node("slice", "P^10_10", 10, 2, 1, "phiLDR(f)"),
-            _node("section", "P^9", None, 2, 1, "w*"),
-            _node("slice", "P^9_9", 9, 2, 1, "f"),
-        )
-    if n == 10:
-        return (
-            _node("slice", "P^28_28", 28, 0, 7, "g"),
-            _node("total", "X", None, 1, 6, "F*"),
-            _node("slice", "P^24_24", 24, 0, 6, "g^3"),
-            _node("section", "P^24", None, 1, 6, "w*"),
-            _node("summand", "A", 20, 0, 5, "g^3", summand_of=20),
-            _node("aux", "aux", None, 1, 6, "phiLDR(F)"),
-            _node("section", "P^20", None, 1, 6, "W*"),
-            _node("summand", "C", 16, 3, 2, "phiLDR(f)", summand_of=16),
-            _node("summand", "B", 20, 1, 4, "g^2", summand_of=20),
-            _node("section", "P^17", None, 1, 6, "f"),
-            _node("summand", "D", 16, 3, 1, "g^3", summand_of=16),
-            _node("aux", "aux2", None, 1, 5, "phiLDR(F)"),
-            _node("section", "P^15", None, 1, 5, "C"),
-            _node("slice", "P^14_14", 14, 3, 1, "phiLDR(f)"),
-            _node("summand", "E", 16, 1, 3, "g", summand_of=16),
-            _node("section", "P^12", None, 1, 6, "F"),
-            _node("slice", "P^12_12", 12, 2, 2, "phiLDR(f)"),
-            _node("section", "P^11", None, 2, 2, "w*"),
-            _node("slice", "P^10_10", 10, 2, 2, "f"),
-        )
+    if n in _TOWERS:
+        return tuple(_node(*args) for args in _TOWERS[n])
     nodes = []
     lo, hi = slice_bounds_K(n)
     for i in range(lo, hi + 1):
@@ -492,7 +440,7 @@ def restriction_consistency(n):
             else:
                 rsusp = restrict_rep(kcell.susp, h)
                 rcoeff = _restrict_coeff(kcell.coeff, h)
-                a, k = _rho_decompose(rsusp)
+                a, k = rho_decompose(rsusp)
                 got = graded_homotopy(a, k, rcoeff, "C2")
             if got != expect:
                 failures.append(

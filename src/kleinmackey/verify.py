@@ -16,7 +16,7 @@ from . import slices as slc
 from .mackey import (_TABLES, CATALOG_ATOMS, catalog, check_axioms, dual, direct_sum,
                      expr_dims, expr_to_mackey, fingerprint, format_name_expr,
                      identify, is_isomorphic, mackey_from_json)
-from .reps import RepC2, RepK, RHO_K
+from .reps import RepC2, RepK, RHO_K, a_plus_k_rho
 
 
 @dataclass
@@ -199,7 +199,7 @@ def suite_slice_homotopy():
     for group, atom, k in _CLOSED_GRID:
         for a in (-1, 0, 1):
             rep.checked += 1
-            v = RepK(a + k, k, k, k) if group == "K" else RepC2(a + k, k)
+            v = a_plus_k_rho(group, a, k)
             try:
                 formula = slc.graded_homotopy(a, k, ((atom, 1),), group)
                 oracle = oracle_homotopy(v, ((atom, 1),))

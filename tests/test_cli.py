@@ -496,6 +496,8 @@ def _args(*parts):
 
 
 _FILES = st.sampled_from(["no-such-file.json", ".", README])
+# chart --out: a file that takes the chart, a directory, a missing directory
+_OUTS = st.sampled_from([os.devnull, ".", os.path.join("no-such-dir", "chart.txt")])
 _SWEEPS = ("--suite=axioms", "--suite=duality", "--suite=hk-oracle", "--suite=slice-homotopy")
 _N = _sized(_SMALL, (3, 16), (1001, 10**12), _NEGATIVE)
 _FORMATS = st.sampled_from(["text", "json"])
@@ -522,7 +524,8 @@ _ARGV = st.one_of(
     _args(st.just(["chart"]), _N.map(lambda n: [f"--n={n}"]),
           _flag("group", st.sampled_from(["K", "C2"])),
           _flag("format", st.sampled_from(["text", "json", "svg"])),
-          st.sampled_from([[], ["--solve"]]), _flag("cap", _sized((0, 5), _NEGATIVE))),
+          st.sampled_from([[], ["--solve"]]), _flag("cap", _sized((0, 5), _NEGATIVE)),
+          _flag("out", _OUTS)),
     # past the solver's pair bound, K n <= 32
     _args(st.just(["chart", "--solve"]), st.integers(33, 40).map(lambda n: [f"--n={n}"])),
     _args(st.just(["mackey"]), st.one_of(

@@ -33,8 +33,6 @@ PACKAGE = ROOT / "src" / "kleinmackey"
 CALLERS = (ROOT / "scripts", ROOT / "perfbench")
 
 ALLOWED = {
-    "slices.effective_slice_dim":
-        "the slice certificate (ROADMAP item 1) computes or tests it",
     "slices.slice_predicates":
         "the slice certificate (ROADMAP item 1) checks it on the EM cells",
     "slices.slice_C2_f": "the slice certificate (ROADMAP item 1) certifies its cells",
@@ -193,7 +191,7 @@ def test_every_definition_has_a_caller_or_a_reason():
     assert sorted(unused - set(ALLOWED)) == []
     # an entry whose name gained a caller or was deleted goes too
     assert sorted(set(ALLOWED) - unused) == []
-    assert len(ALLOWED) <= 4 and all(reason for reason in ALLOWED.values())
+    assert len(ALLOWED) <= 3 and all(reason for reason in ALLOWED.values())
 
 
 # the closed engine: closed forms, slice tables and charts
