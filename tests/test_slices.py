@@ -225,6 +225,16 @@ def test_twistings_suite_checks_the_untwisting_table(monkeypatch, rule, wrong):
 _ORACLE = functools.cache(verify.oracle_homotopy)
 
 
+@pytest.mark.parametrize("group,atom,k", verify._CLOSED_GRID)
+def test_closed_forms_match_oracle_at_every_twist(monkeypatch, group, atom, k):
+    # one case of the sweep that criterion 6 runs whole, so that a failure
+    # names its case
+    monkeypatch.setattr(verify, "_CLOSED_GRID", [(group, atom, k)])
+    monkeypatch.setattr(verify, "oracle_homotopy", _ORACLE)
+    rep = verify.suite_slice_homotopy()
+    assert rep.passed and rep.checked == 3, rep.summary()
+
+
 # a wrong step in a short exact sequence, and a wrong untwisting of a Klein
 # atom and of the C2 one, which suite_twistings leaves out
 @pytest.mark.parametrize("table, key, wrong", [("_SES", "W", ("w", -3, 0)),
