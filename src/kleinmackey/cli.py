@@ -1,7 +1,12 @@
 """Command line interface: one binary, one subcommand per computation.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
-All output is deterministic for a fixed invocation.
+Each cmd_* is a function of the parsed arguments that returns its answer:
+the text to print, or the verify.Report of a suite.  main writes that
+answer to stdout, or one error: line to stderr in its place.
+
+Exit codes: 0 success, 1 verification failure (a report that did not
+pass), 2 usage or parse error.  All output is deterministic for a fixed
+invocation.
 """
 
 from __future__ import annotations
@@ -93,37 +98,36 @@ def _poincare_terms(v):
     return (1 + sizes[0]) * (1 + sizes[1])
 
 
-def _emit(out, text):
-    out.write(text if text.endswith("\n") else text + "\n")
+def _json(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def cmd_poincare(args, out):
+def _check_level(group, level):
+    """ValueError unless level is "all" or a level of the group."""
+    if level != "all" and level not in group_by_name(group).levels:
+        raise ValueError(f"no level {level!r} for this group")
+
+
+def cmd_poincare(args):
     v = parse_rep(args.rep)
     terms = _poincare_terms(v)
     if terms > _MAX_POINCARE_TERMS:
         raise ValueError(f"the series of {args.rep} needs {terms} term products, "
                          f"past the bound of {_MAX_POINCARE_TERMS}")
+    level = args.level or group_by_name(v.group).levels[0]
+    _check_level(v.group, level)
     table = hk.poincare(v)
     if args.format == "json":
-        doc = {lv: p.to_json_dict() for lv, p in table.items()}
-        _emit(out, json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    level = args.level or group_by_name(v.group).levels[0]
+        return _json({lv: p.to_json_dict() for lv, p in table.items()})
     if level == "all":
-        for lv in table:
-            _emit(out, f"{lv}: {table[lv].pretty()}")
-    else:
-        if level not in table:
-            raise ValueError(f"no level {level!r} for this group")
-        _emit(out, table[level].pretty())
-    return 0
+        return "\n".join(f"{lv}: {p.pretty()}" for lv, p in table.items())
+    return table[level].pretty()
 
 
-def cmd_homotopy(args, out):
+def cmd_homotopy(args):
     v = parse_rep(args.rep)
     group = v.group
-    if args.level != "all" and args.level not in group_by_name(group).levels:
-        raise ValueError(f"no level {args.level!r} for this group")
+    _check_level(group, args.level)
     if args.engine == "closed":
         try:
             a, k = rho_decompose(v)
@@ -148,9 +152,7 @@ def cmd_homotopy(args, out):
                              f"more than the oracle engine's bound of {_MAX_ORACLE_ENTRIES}")
         found = []
         for d, m in sorted(bredon.homotopy(v, args.coeff).items()):
-            expr = identify(m)
-            row = {"degree": d, "identified_name":
-                   format_name_expr(expr) if expr is not None else "unidentified"}
+            row = {"degree": d, "identified_name": format_name_expr(identify(m))}
             if args.format == "json":
                 row["mackey"] = m.to_json_dict()
             found.append((row, m.dims))
@@ -160,34 +162,32 @@ def cmd_homotopy(args, out):
         for row, dims in found:
             row["dim"] = dims[index]
     if args.format == "json":
-        _emit(out, json.dumps(rows, indent=2, sort_keys=True))
-    elif not rows:
-        _emit(out, "pi_* = 0" if args.level == "all" else f"pi_*({args.level}) = 0")
-    else:
-        for row in rows:
-            if "dim" in row:
-                _emit(out, f"pi_{row['degree']}({args.level}) = "
-                           f"F2^{row['dim']}  [{row['identified_name']}]")
-            else:
-                _emit(out, f"pi_{row['degree']} = {row['identified_name']}")
-    return 0
+        return _json(rows)
+    if not rows:
+        return "pi_* = 0" if args.level == "all" else f"pi_*({args.level}) = 0"
+    if args.level == "all":
+        return "\n".join(f"pi_{row['degree']} = {row['identified_name']}" for row in rows)
+    return "\n".join(f"pi_{row['degree']}({args.level}) = "
+                     f"F2^{row['dim']}  [{row['identified_name']}]" for row in rows)
 
 
-def cmd_slice(args, out):
+def cmd_slice(args):
     cell = (slc.slice_K if args.group == "K" else slc.slice_C2)(args.n, args.i)
-    if args.format == "json":
-        doc = {"group": args.group, "n": args.n, "i": args.i,
-               "trivial": cell.trivial}
-        if not cell.trivial:
-            doc["susp"] = list(cell.susp.coeffs())
-            doc["coeff"] = format_name_expr(cell.coeff)
-        _emit(out, json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        _emit(out, cell.pretty())
-    return 0
+    if args.format != "json":
+        return cell.pretty()
+    doc = {"group": args.group, "n": args.n, "i": args.i, "trivial": cell.trivial}
+    if not cell.trivial:
+        doc["susp"] = list(cell.susp.coeffs())
+        doc["coeff"] = format_name_expr(cell.coeff)
+    return _json(doc)
 
 
-def cmd_tower(args, out):
+def _tag(node):
+    """A tower node's label, in brackets for a summand of a slice."""
+    return f"[{node.label}]" if node.kind == "summand" else node.label
+
+
+def cmd_tower(args):
     if args.n > MAX_TOWER_N:
         raise ValueError(f"tower --n {args.n} is past the bound of {MAX_TOWER_N}")
     nodes = slc.tower_K(args.n)
@@ -206,16 +206,15 @@ def cmd_tower(args, out):
                 "summand_of": node.i if node.kind == "summand" else None,
                 "note": node.note,
             })
-        _emit(out, json.dumps(doc, indent=2, sort_keys=True))
-    elif args.format == "svg":
-        _emit(out, _tower_svg(args.n, nodes))
-    else:
-        for node in nodes:
-            tag = f"[{node.label}]" if node.kind == "summand" else node.label
-            extra = f"  (summand of the {node.i}-slice)" if node.kind == "summand" else ""
-            note = f"  ({node.note})" if node.note else ""
-            _emit(out, f"{node.kind:>8} {tag:>8}  {node.pretty()}{extra}{note}")
-    return 0
+        return _json(doc)
+    if args.format == "svg":
+        return _tower_svg(args.n, nodes)
+    lines = []
+    for node in nodes:
+        extra = f"  (summand of the {node.i}-slice)" if node.kind == "summand" else ""
+        note = f"  ({node.note})" if node.note else ""
+        lines.append(f"{node.kind:>8} {_tag(node):>8}  {node.pretty()}{extra}{note}")
+    return "\n".join(lines)
 
 
 def _tower_svg(n, nodes):
@@ -227,8 +226,7 @@ def _tower_svg(n, nodes):
     rows.append(f'<text x="10" y="{y}">slice tower, n={n}</text>')
     for node in nodes:
         y += 28
-        tag = node.label if node.kind != "summand" else f"[{node.label}]"
-        rows.append(f'<text x="20" y="{y}">{tag}</text>')
+        rows.append(f'<text x="20" y="{y}">{_tag(node)}</text>')
         rows.append(f'<text x="120" y="{y}">{node.pretty()}</text>')
         if node.kind in ("section", "total"):
             rows.append(f'<line x1="100" y1="{y - 18}" x2="100" y2="{y - 4}" '
@@ -237,7 +235,7 @@ def _tower_svg(n, nodes):
     return "\n".join(rows)
 
 
-def cmd_chart(args, out):
+def cmd_chart(args):
     if args.n > MAX_CHART_N:
         raise ValueError(f"chart --n {args.n} is past the bound of {MAX_CHART_N}")
     chart = sschart.build_E1(args.n, args.group)
@@ -248,13 +246,11 @@ def cmd_chart(args, out):
     elif args.group == "K" and args.n <= 10:
         diffs = sschart.canned_differentials(args.n)
     text = sschart.render(chart, args.format, diffs, solved_note)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        _emit(out, f"wrote {args.out}")
-    else:
-        out.write(text)
-    return 0
+    if not args.out:
+        return text
+    with open(args.out, "w") as fh:
+        fh.write(text)
+    return f"wrote {args.out}"
 
 
 def _read_json(path):
@@ -266,19 +262,15 @@ def _read_json(path):
         raise ValueError(f"{path} nests too deeply to read as JSON") from None
 
 
-def cmd_mackey(args, out):
+def cmd_mackey(args):
     if args.file:
         m = mackey_from_json(_read_json(args.file))
     else:
         m = catalog(args.name, args.group)
-    if args.json:
-        _emit(out, json.dumps(m.to_json_dict(), indent=2, sort_keys=True))
-    else:
-        _emit(out, m.pretty())
-    return 0
+    return _json(m.to_json_dict()) if args.json else m.pretty()
 
 
-def cmd_verify(args, out):
+def cmd_verify(args):
     kwargs = {}
     if args.box is not None:
         if args.suite not in ("hk-oracle", "duality"):
@@ -290,9 +282,7 @@ def cmd_verify(args, out):
         if args.suite != "axioms":
             raise ValueError(f"suite {args.suite} takes no --file")
         kwargs["mackey_json"] = _read_json(args.file)
-    report = verify.run_suite(args.suite, **kwargs)
-    _emit(out, report.summary())
-    return 0 if report.passed else 1
+    return verify.run_suite(args.suite, **kwargs)
 
 
 def _usage_error(parser, message):
@@ -402,7 +392,11 @@ def main(argv=None, out=None):
     out = out or sys.stdout
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args, out)
+        answer = args.func(args)
+        report = isinstance(answer, verify.Report)
+        text = answer.summary() if report else answer
+        out.write(text if text.endswith("\n") else text + "\n")
+        return 1 if report and not answer.passed else 0
     except SystemExit as exc:          # --help, after printing the help
         return exc.code or 0
     except (ValueError, OSError) as exc:

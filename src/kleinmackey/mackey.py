@@ -384,7 +384,10 @@ def display_terms(expr, glyphs=None):
 
 
 def format_name_expr(expr):
-    """Canonical display form like "phiLDR(F*) + g^2"; "0" when empty."""
+    """Canonical display form like "phiLDR(F*) + g^2"; "0" when empty, and
+    "unidentified" for None, what identify returns for no catalog sum."""
+    if expr is None:
+        return "unidentified"
     return " + ".join(display_terms(expr)) or "0"
 
 

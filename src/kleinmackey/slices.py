@@ -138,6 +138,16 @@ def slice_C2(n, i):
     return SliceCell("C2", i, trivial=True)
 
 
+def slice_cells(n, group="K"):
+    """The nontrivial slice cells of the n-fold suspension over group, by i."""
+    if group == "K":
+        lo, hi = slice_bounds_K(n)
+        cells = [slice_K(n, i) for i in range(lo, hi + 1)]
+    else:
+        cells = [slice_C2(n, i) for i in range(n, max(2 * n - 3, n + 1))]
+    return [cell for cell in cells if not cell.trivial]
+
+
 def slice_C2_f(n, i):
     """The i-slice of the n-fold C2 suspension of the free functor."""
     if n < 0:
@@ -389,14 +399,10 @@ def tower_K(n):
     if n in _TOWERS:
         return tuple(_node(*args) for args in _TOWERS[n])
     nodes = []
-    lo, hi = slice_bounds_K(n)
-    for i in range(lo, hi + 1):
-        cell = slice_K(n, i)
-        if cell.trivial:
-            continue
+    for cell in slice_cells(n):
         hom = tuple(sorted(homotopy_of_slice(cell).items()))
-        nodes.append(TowerNode("slice", f"P^{i}_{i}", i, cell.susp, cell.coeff,
-                               hom, note="section structure not asserted"))
+        nodes.append(TowerNode("slice", f"P^{cell.i}_{cell.i}", cell.i, cell.susp,
+                               cell.coeff, hom, note="section structure not asserted"))
     return tuple(reversed(nodes))
 
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 from .groups import group_by_name
 from .mackey import (display_terms, expr_dims, expr_to_mackey,
                      format_name_expr, rank_tuples_of_hom)
-from .slices import homotopy_of_slice, slice_bounds_K, slice_C2, slice_K
+from .slices import homotopy_of_slice, slice_cells
 
 
 @dataclass(frozen=True, order=True)
@@ -62,14 +62,7 @@ class Chart:
 def build_E1(n, group="K"):
     """First-page chart: homotopy of every nontrivial slice."""
     entries = {}
-    if group == "K":
-        lo, hi = slice_bounds_K(n)
-        cells = [slice_K(n, i) for i in range(lo, hi + 1)]
-    else:
-        cells = [slice_C2(n, i) for i in range(n, max(2 * n - 3, n + 1))]
-    for cell in cells:
-        if cell.trivial:
-            continue
+    for cell in slice_cells(n, group):
         for t, names in homotopy_of_slice(cell).items():
             entries[(t, cell.i)] = names
     return Chart(group, n, tuple(sorted(entries.items())))
@@ -360,18 +353,7 @@ def _glyph(expr):
     return "+".join(display_terms(expr, _CHART_GLYPHS))
 
 
-def render(chart, fmt="text", diffs=(), note=None):
-    """The chart with diffs drawn, and note (a solver summary) written below."""
-    if fmt == "text":
-        return render_text(chart, diffs, note)
-    if fmt == "json":
-        return render_json(chart, diffs, note)
-    if fmt == "svg":
-        return render_svg(chart, diffs, note)
-    raise ValueError(f"unknown render format {fmt!r}")
-
-
-def render_text(chart, diffs=(), note=None):
+def _render_text(chart, diffs, note):
     tail = f"solver: {note}\n" if note else ""
     emap = chart.entry_map()
     if not emap:
@@ -393,20 +375,19 @@ def render_text(chart, diffs=(), note=None):
     if diffs:
         lines.append("differentials:")
         levels = chart.gd.levels
-        for d in sorted(diffs, key=lambda d: (d.r, d.src)):
+        for d in diffs:
             ranks = ",".join(f"{lv}={rk}" for lv, rk in zip(levels, d.ranks) if rk)
             lines.append(f"  d{d.r}: {d.src} -> {d.tgt}  [{ranks}]")
     return "\n".join(lines) + "\n" + tail
 
 
-def render_json(chart, diffs=(), note=None):
+def _render_json(chart, diffs, note):
     doc = {
         "group": chart.group,
         "n": chart.n,
         "entries": [{"t": t, "i": i, "mackey": format_name_expr(expr)}
                     for (t, i), expr in chart.entries],
-        "differentials": [d.as_dict(chart.gd.levels)
-                          for d in sorted(diffs, key=lambda d: (d.r, d.src))],
+        "differentials": [d.as_dict(chart.gd.levels) for d in diffs],
     }
     if note:
         doc["solver"] = note
@@ -416,7 +397,7 @@ def render_json(chart, diffs=(), note=None):
 _SVG_CELL = 40
 
 
-def render_svg(chart, diffs=(), note=None):
+def _render_svg(chart, diffs, note):
     emap = chart.entry_map()
     ts = sorted({t for t, _ in emap}) or [0]
     islices = sorted({i for _, i in emap}) or [0]
@@ -454,7 +435,7 @@ def render_svg(chart, diffs=(), note=None):
                            f'height="{c - 4}" fill="#eef" stroke="#99c"/>')
                 out.append(f'<text x="{x_of(t) - c // 2 + 5}" y="{y_of(i) + 4}">'
                            f'{_glyph(emap[(t, i)])}</text>')
-    for d in sorted(diffs, key=lambda d: (d.r, d.src)):
+    for d in diffs:
         x1, y1 = x_of(d.src[0]), y_of(d.src[1])
         x2, y2 = x_of(d.tgt[0]), y_of(d.tgt[1])
         out.append(f'<line x1="{x1 - 8}" y1="{y1 - 8}" x2="{x2 + 8}" '
@@ -468,3 +449,14 @@ def render_svg(chart, diffs=(), note=None):
         out.append(f'<text x="{left}" y="{height + 8}">solver: {note}</text>')
     out.append('</svg>')
     return "\n".join(out) + "\n"
+
+
+_RENDERERS = {"text": _render_text, "json": _render_json, "svg": _render_svg}
+
+
+def render(chart, fmt="text", diffs=(), note=None):
+    """The chart as text, JSON or SVG, with diffs drawn in (page, source)
+    order, and note (a solver summary) written below."""
+    if fmt not in _RENDERERS:
+        raise ValueError(f"unknown render format {fmt!r}")
+    return _RENDERERS[fmt](chart, sorted(diffs, key=lambda d: (d.r, d.src)), note)

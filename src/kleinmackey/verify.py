@@ -131,11 +131,7 @@ def suite_figure1():
             rep.checked += 1
             table = bredon.homotopy(RepC2(-n, -k), "F")
             m = table.get(0)
-            if m is None:
-                got = "0"
-            else:
-                expr = identify(m)
-                got = format_name_expr(expr) if expr is not None else "?"
+            got = "0" if m is None else format_name_expr(identify(m))
             want = _figure1_expected(n, k)
             if got != want:
                 rep.fail(f"(n={n}, k={k}): got {got}, expected {want}")
@@ -174,7 +170,7 @@ def oracle_homotopy(v, coeff):
 
     Degrees with zero homotopy are left out, and a functor that is not a
     catalog sum raises ValueError; cli.cmd_homotopy and suite_figure1, which
-    also name oracle output, report such a functor instead.
+    also name oracle output, print such a functor as "unidentified" instead.
     """
     out = {}
     for deg, m in bredon.homotopy(v, expr_to_mackey(coeff, v.group)).items():

@@ -1,3 +1,5 @@
+import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -208,6 +210,27 @@ def test_homotopy_says_when_the_answer_is_zero():
             assert run(argv + ["--level", "D"]) == (0, "pi_*(D) = 0\n"), argv
             assert run(argv + ["--format", "json"]) == (0, "[]\n"), argv
 
+
+
+def test_level_is_checked_in_every_format(capsys):
+    # one check refuses a level the group does not have, in every format
+    for command, fmt, (rep, level) in itertools.product(
+            ("poincare", "homotopy"), ("text", "json"), (("0,1,1,1", "C2"), ("0,1", "L"))):
+        argv = [command, "--rep", rep, "--level", level, "--format", fmt]
+        assert run(argv) == (2, ""), argv
+        assert capsys.readouterr().err == f"error: no level {level!r} for this group\n"
+
+
+def test_an_answer_stdout_cannot_encode_exits_2():
+    # the answer is written inside main's try, so a stdout that cannot
+    # encode it gives one error: line, not a traceback
+    child = "import sys\nfrom kleinmackey.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    done = subprocess.run([sys.executable, "-c", child, "tower", "--n", "5"],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(_child_env(), PYTHONIOENCODING="ascii"))
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr[-2000:]
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert "codec can't encode" in done.stderr
 
 def test_rep_starting_with_a_sign_takes_the_equals_form(capsys):
     assert run(["poincare", "--rep=-1,0,0,0"]) == (0, "x^-1\n")
@@ -646,3 +669,93 @@ def test_readme_python_blocks_execute():
     assert blocks
     for block in blocks:
         exec(compile(block, "<readme>", "exec"), {})
+
+
+def _pinned_sweep():
+    """A fixed sweep of CLI calls: every subcommand and format, the --level
+    values and both engines, the --file forms, a few usage errors and each
+    bound's refusal.  Usage errors whose argparse text changes between
+    Python versions (a choices list, the --help layout) are left out."""
+    sweep = []
+    for rep, levels in (("0,1,1,1", ["K", "L", "D", "R", "e", "all"]),
+                        ("2,-1,3,0", ["K", "e", "all"]), ("-1,0,0,0", ["D"]),
+                        ("0,1", ["C2", "e", "all"]), ("-2,3", ["all"])):
+        for level in [None, *levels]:
+            for fmt in ("text", "json"):
+                sweep.append(["poincare", f"--rep={rep}", "--format", fmt]
+                             + ([] if level is None else ["--level", level]))
+    sweep += [["poincare", "--rep", "0,1,1,1", "--level", "C2"],
+              ["poincare", "--rep", "0,1", "--level", "L"]]
+    for engine, (rep, coeff), level, fmt in itertools.product(
+            ("oracle", "closed"),
+            (("1,1,1,1", "F"), ("0,-1,-1,-1", "f"), ("2,1,1,1", "W + w*"),
+             ("-1,-2,-2,-2", "phiLDR(F*) + g^2"), ("1,1,1,1", "0"), ("1,1", "F* + g"),
+             ("-2,-3", "F"), ("0,2,-1,1", "F")),
+            ("all", "K", "L", "e", "C2"), ("text", "json")):
+        sweep.append(["homotopy", "--engine", engine, f"--rep={rep}", "--coeff", coeff,
+                      "--level", level, "--format", fmt])
+    for group, n, i, fmt in itertools.product(("K", "C2"), (0, 3, 8, 9), (3, 8, 12, 13),
+                                              ("text", "json")):
+        sweep.append(["slice", "--group", group, "--n", str(n), "--i", str(i),
+                      "--format", fmt])
+    for n, fmt in itertools.product((0, 4, 5, 8, 9, 10, 11, 14), ("text", "json", "svg")):
+        sweep.append(["tower", "--n", str(n), "--format", fmt])
+    for group, n, fmt in itertools.product(("K", "C2"), (0, 5, 9, 12), ("text", "json", "svg")):
+        sweep.append(["chart", "--group", group, "--n", str(n), "--format", fmt])
+    for n, cap, fmt in ((9, "200", "text"), (11, "5", "json"), (13, "3", "svg"),
+                        (7, "0", "text")):
+        sweep.append(["chart", "--n", str(n), "--solve", "--cap", cap, "--format", fmt])
+    sweep += [["chart", "--n", "10", "--format", "svg", "--out", "chart.svg"],
+              ["chart", "--n", "6", "--group", "C2", "--solve", "--out", "."]]
+    for name, group in (("F", "K"), ("m*", "K"), ("phiLDR(F*) + g^2", "K"),
+                        ("F* + f", "C2"), ("W", "C2")):
+        for flag in ([], ["--show"], ["--json"]):
+            sweep.append(["mackey", "--name", name, "--group", group, *flag])
+    for path in ("good.json", "broken.json", "failing.json", "missing.json"):
+        sweep += [["mackey", "--file", path], ["mackey", "--file", path, "--json"],
+                  ["verify", "--suite", "axioms", "--file", path]]
+    sweep += [["verify", "--suite", suite] for suite in ("twistings", "euler", "figure1")]
+    sweep += [["verify", "--suite", "twistings", "--box", "3"],
+              ["verify", "--suite", "duality", "--box", "-1"],
+              ["verify", "--suite", "hk-oracle", "--file", "good.json"]]
+    # usage errors
+    sweep += [[], ["slice", "--n", "8"], ["slice", "--n", "x", "--i", "1"],
+              ["tower", "--n", "3", "--bogus"], ["poincare", "--rep", "-1,0,0,0"],
+              ["poincare", "--rep", "x"], ["poincare", "--rep=2++a"],
+              ["chart", "--n", "9", "--solve", "--cap", "-1"], ["tower", "--n=-1"]]
+    # each bound's refusal
+    sweep += [["poincare", "--rep", "0,1000,1000,1000"],
+              ["poincare", "--rep", "0,1000,0,1000", "--format", "json"],
+              ["homotopy", "--rep", "0,200,200,200"],
+              ["homotopy", "--rep", "0,2,2,2", "--coeff", "F^1000"],
+              ["homotopy", "--engine", "closed", "--rep", "0,20000,20000,20000"],
+              ["homotopy", "--rep", "0,1,0,0", "--coeff", "F^100000000"],
+              ["homotopy", "--rep", "0,1,0,0", "--coeff", "F^1000", "--format", "json"],
+              ["mackey", "--name", "F^3000"], ["mackey", "--name", "F^1000", "--json"],
+              ["tower", "--n", str(MAX_TOWER_N + 1)],
+              ["chart", "--n", str(MAX_CHART_N + 1)],
+              ["chart", "--n", "34", "--solve"],
+              ["verify", "--suite", "duality", "--box", str(_MAX_VERIFY_BOX + 1)]]
+    return sweep
+
+
+def test_cli_output_is_pinned(tmp_path, monkeypatch):
+    # sha256 of (argv, stdout, stderr, exit code) over the sweep: a change to
+    # any byte the CLI prints, or to an exit code, shows here
+    from kleinmackey.mackey import catalog
+    monkeypatch.chdir(tmp_path)
+    doc = catalog("F").to_json_dict()
+    (tmp_path / "good.json").write_text(json.dumps(doc))
+    doc["tr"]["R>K"] = [[1]]
+    (tmp_path / "failing.json").write_text(json.dumps(doc))
+    doc["res"]["K>L"] = [[2]]
+    (tmp_path / "broken.json").write_text(json.dumps(doc))
+    records = []
+    for argv in _pinned_sweep():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        records.append([argv, out.getvalue(), err.getvalue(), code])
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "ea2adb43c27575ab1de4ed615fe75cff6592f3c0f9fb9a8ee673adfcafe62b0f", \
+        (len(records), digest)

@@ -192,6 +192,8 @@ def test_identify_examples():
     assert identify(catalog("g")) == (("g", 1),)
     assert identify(zero_mackey()) == ()
     assert format_name_expr(()) == "0"
+    # identify's None, for no catalog sum, prints as unidentified
+    assert format_name_expr(None) == "unidentified"
 
 
 def _rank_mod_prime(rows, p=(1 << 61) - 1):
